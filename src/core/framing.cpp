@@ -96,8 +96,13 @@ bool PacketCodec::decode_hard_into(std::span<const std::uint8_t> coded,
   }
   const std::size_t n_info = payload_bits_ + 32;
   scratch.resize(n_info);  // grow-only across calls: capacity is retained
+  // Raw pointers: a store through the vector's uint8_t elements may alias
+  // its own data pointer, which keeps the compiler from vectorizing.
+  const std::uint8_t* in = coded.data();
+  const std::uint8_t* white = whitening_.data();
+  std::uint8_t* out = scratch.data();
   for (std::size_t i = 0; i < n_info; ++i) {
-    scratch[i] = static_cast<std::uint8_t>(coded[i] ^ whitening_[i]);
+    out[i] = static_cast<std::uint8_t>(in[i] ^ white[i]);
   }
   if (!dsp::check_crc32(scratch)) return false;
   payload_out.assign(scratch.begin(),

@@ -150,11 +150,14 @@ cf32 LscatterDemodulator::estimate_symbol_gain(std::span<const cf32> z,
   }
   const std::size_t count =
       static_cast<std::size_t>(head_end + (size - tail_begin));
-  if (count < 16 || abs_sum <= 0.0) return fallback;
+  // Comparisons in the !(x > y) form, so NaN sums fall back too.
+  if (count < 16 || !(abs_sum > 0.0)) return fallback;
   const cf32 g{static_cast<float>(ar), static_cast<float>(ai)};
   // Very incoherent filler (magnitude far below what its energy allows)
   // means the estimate is noise-dominated; trust the preamble instead.
-  if (std::abs(g) < 0.1 * abs_sum) return fallback;
+  // An infinite (overflowed) gain falls back as well.
+  const float mag = std::abs(g);
+  if (!(mag >= 0.1 * abs_sum) || std::isinf(mag)) return fallback;
   return g;
 }
 

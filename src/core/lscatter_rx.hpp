@@ -99,7 +99,8 @@ class LscatterDemodulator {
                     std::vector<float>& soft) const;
 
   /// Per-symbol gain re-estimate from units outside the (shifted)
-  /// modulation window; falls back to `fallback` if too little energy.
+  /// modulation window; falls back to `fallback` if too little energy or
+  /// a non-finite sum.
   dsp::cf32 estimate_symbol_gain(std::span<const dsp::cf32> z,
                                  std::ptrdiff_t offset_units,
                                  dsp::cf32 fallback) const;

@@ -47,6 +47,19 @@ struct OffsetResult {
 /// begin with zero sync error ((K - N)/2 plus any configured window
 /// offset); `pattern` holds N bits (1 -> +1, 0 -> -1). Returns nullopt if
 /// no candidate clears the threshold.
+///
+/// The searched span is the products the windows cover:
+/// z[max(0, nominal - range), min(K, nominal + range + N)). If any
+/// product inside it is NaN or ±inf the search returns nullopt — such a
+/// metric means nothing, and the FFT correlation would spread it to every
+/// offset. Products outside the span are never read.
+///
+/// The result (presence, offset, metric and gain, bit for bit) is that of
+/// the direct search on the active SIMD tier: every offset in ascending
+/// order scored by the dsp pattern_sums kernel as |Σ ±z| / Σ|z| (windows
+/// with Σ|z| == 0 skipped), the first strict maximum winning. The search
+/// itself runs as one FFT correlation and re-scores directly only the
+/// offsets its error bounds cannot rule out (DESIGN.md §16).
 std::optional<OffsetResult> find_modulation_offset(
     std::span<const dsp::cf32> z, std::span<const std::uint8_t> pattern,
     std::ptrdiff_t nominal_start, const OffsetSearch& search);

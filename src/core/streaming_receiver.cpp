@@ -11,6 +11,21 @@
 
 namespace lscatter::core {
 
+namespace {
+
+/// Append a chunk, growing capacity geometrically: libstdc++'s range
+/// insert grows to exactly size + n when n > size, so every new record of
+/// buffered + chunk would otherwise reallocate the buffer.
+void append(dsp::cvec& buffer, std::span<const dsp::cf32> chunk) {
+  const std::size_t need = buffer.size() + chunk.size();
+  if (need > buffer.capacity()) {
+    buffer.reserve(std::max(need, 2 * buffer.capacity()));
+  }
+  buffer.insert(buffer.end(), chunk.begin(), chunk.end());
+}
+
+}  // namespace
+
 #if LSCATTER_OBS_ENABLED
 namespace {
 
@@ -32,6 +47,10 @@ StreamingReceiver::StreamingReceiver(const Config& config)
       samples_per_packet_(config.schedule.packet_subframes *
                           config.cell.samples_per_subframe()),
       next_subframe_(config.first_subframe_index) {
+  // Buffered samples stay below one packet between feeds, so two packets
+  // hold any chunk up to a packet long without growing.
+  rx_buffer_.reserve(2 * samples_per_packet_);
+  ambient_buffer_.reserve(2 * samples_per_packet_);
   if (config_.acquire_alignment) {
     aligned_ = false;
     searcher_.emplace(config_.cell);
@@ -143,9 +162,8 @@ std::span<const StreamingReceiver::PacketEvent> StreamingReceiver::feed(
         std::min<std::uint64_t>(skip_, static_cast<std::uint64_t>(n)));
     skip_ -= off;
   }
-  rx_buffer_.insert(rx_buffer_.end(), rx.begin() + off, rx.begin() + n);
-  ambient_buffer_.insert(ambient_buffer_.end(), ambient.begin() + off,
-                         ambient.begin() + n);
+  append(rx_buffer_, rx.subspan(off, n - off));
+  append(ambient_buffer_, ambient.subspan(off, n - off));
 
   buffered_hwm_ = std::max(buffered_hwm_, buffered_samples());
   LSCATTER_OBS_GAUGE_MAX("core.stream.buffered_hwm_samples",

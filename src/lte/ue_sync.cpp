@@ -69,12 +69,23 @@ std::optional<CellSearchResult> CellSearcher::search(
       std::span<float>(metrics.data() + lags, lags),
       std::span<float>(metrics.data() + 2 * lags, lags)};
   dsp::fast_normalized_correlation_batch_into(samples, patterns, outs);
+  // The SSS sits one symbol earlier: its useful part starts one (K + CP)
+  // before the PSS useful start. Only lags whose SSS lies inside the
+  // buffer can name the cell and the frame, and only a lag with both
+  // neighbours inside and no higher is a peak rather than the shoulder of
+  // one the buffer edge cut off (the PSS is 62 subcarriers wide, so at
+  // 20 MHz its peak spans tens of lags).
+  const std::size_t cp = cfg_.cp_samples();
+  const std::size_t first_lag = k + cp;
+  if (lags < first_lag + 2) return std::nullopt;
   for (std::uint8_t id2 = 0; id2 < 3; ++id2) {
-    const auto pk = dsp::peak(outs[id2]);
-    if (pk.value > best.pss_metric) {
-      best.pss_metric = pk.value;
-      best.n_id_2 = id2;
-      best.pss_useful_start = pk.index;
+    const std::span<const float> m = outs[id2];
+    for (std::size_t l = first_lag; l + 1 < lags; ++l) {
+      if (m[l] > best.pss_metric && m[l] >= m[l - 1] && m[l] >= m[l + 1]) {
+        best.pss_metric = m[l];
+        best.n_id_2 = id2;
+        best.pss_useful_start = l;
+      }
     }
   }
   if (best.pss_metric < min_metric) {
@@ -83,15 +94,6 @@ std::optional<CellSearchResult> CellSearcher::search(
   }
   LSCATTER_OBS_COUNTER_INC("lte.cellsearch.pss_found");
 
-  // SSS sits one symbol earlier: its useful part starts one (K + CP)
-  // before the PSS useful start.
-  const std::size_t cp = cfg_.cp_samples();
-  if (best.pss_useful_start < k + cp) {
-    // Not enough room to read the SSS; report PSS-only with cell unknown.
-    best.cell_id = best.n_id_2;
-    best.frame_start = 0;
-    return best;
-  }
   const std::size_t sss_start = best.pss_useful_start - k - cp;
   cvec sss_bins(samples.begin() + static_cast<std::ptrdiff_t>(sss_start),
                 samples.begin() + static_cast<std::ptrdiff_t>(sss_start + k));

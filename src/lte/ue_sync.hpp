@@ -40,8 +40,11 @@ class CellSearcher {
   /// principle; we correlate at the cell's native rate for simplicity.
   explicit CellSearcher(const CellConfig& cfg);
 
-  /// Search a buffer of at least 5 ms + one symbol of samples.
-  /// Returns nullopt when no PSS exceeds `min_metric`.
+  /// Search a buffer for the PSS, then read the SSS one symbol before
+  /// it. Only correlation peaks whose SSS lies inside the buffer (and
+  /// whose neighbouring lags do too) are considered; a buffer of 5 ms plus
+  /// two symbols always holds one. Returns nullopt when no such peak
+  /// exists or none exceeds `min_metric`.
   std::optional<CellSearchResult> search(std::span<const dsp::cf32> samples,
                                          float min_metric = 0.3f) const;
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 
 #include "core/framing.hpp"
@@ -70,9 +71,11 @@ TEST(StreamAlloc, ProbeCountsThisTestsOwnAllocations) {
   EXPECT_GE(obs::alloc_probe_count() - before, 1u);
 }
 
-TEST(StreamAlloc, SteadyStateFeedAllocatesNothing) {
+// Feeds three frames one subframe per call; the last two must not
+// allocate.
+void expect_steady_state_feed_allocates_nothing(lte::Bandwidth bandwidth) {
   lte::CellConfig cell;
-  cell.bandwidth = lte::Bandwidth::kMHz1_4;
+  cell.bandwidth = bandwidth;
   tag::TagScheduleConfig sched;
   // Three full frames: the per-subframe packet sizes cycle with period
   // 10 (sync subframes carry fewer bits), so one frame of warmup visits
@@ -86,7 +89,7 @@ TEST(StreamAlloc, SteadyStateFeedAllocatesNothing) {
   core::StreamingReceiver ue(cfg);
 
   // Warmup: first full frame. Grows event slots, demod workspace, codec
-  // cache, FFT scratch, obs metric registrations.
+  // cache, FFT and offset-search scratch, obs metric registrations.
   std::size_t events = 0;
   for (std::size_t sf = 0; sf < 10; ++sf) {
     events += ue.feed(std::span<const cf32>(s.rx).subspan(sf * spsf, spsf),
@@ -106,6 +109,51 @@ TEST(StreamAlloc, SteadyStateFeedAllocatesNothing) {
   const auto delta = obs::alloc_probe_count() - before;
   EXPECT_EQ(delta, 0u) << "steady-state feed() allocated " << delta
                        << " time(s)";
+  EXPECT_EQ(events, s.packets);
+}
+
+TEST(StreamAlloc, SteadyStateFeedAllocatesNothing) {
+  expect_steady_state_feed_allocates_nothing(lte::Bandwidth::kMHz1_4);
+}
+
+TEST(StreamAlloc, SteadyStateFeedAllocatesNothingAt20MHz) {
+  expect_steady_state_feed_allocates_nothing(lte::Bandwidth::kMHz20);
+}
+
+TEST(StreamAlloc, RaggedChunksAllocateNothingAfterOneFrame) {
+  // SDR-style chunks of 1 to samples_per_packet samples. A new record of
+  // buffered + chunk must not reallocate the stream buffers.
+  lte::CellConfig cell;
+  cell.bandwidth = lte::Bandwidth::kMHz1_4;
+  tag::TagScheduleConfig sched;
+  const Stream s = make_stream(cell, sched, 100, 99);
+  const std::size_t spsf = cell.samples_per_subframe();
+  const std::size_t spp = sched.packet_subframes * spsf;
+
+  core::StreamingReceiver::Config cfg;
+  cfg.cell = cell;
+  cfg.schedule = sched;
+  core::StreamingReceiver ue(cfg);
+
+  dsp::Rng chunks(2590);
+  std::size_t pos = 0;
+  std::size_t events = 0;
+  std::uint64_t before = 0;
+  while (pos < s.rx.size()) {
+    // Warmup ends exactly on the first frame boundary.
+    const std::size_t limit = pos < 10 * spsf ? 10 * spsf : s.rx.size();
+    const std::size_t n = std::min<std::size_t>(
+        1 + chunks.uniform_int(static_cast<std::uint32_t>(spp)),
+        limit - pos);
+    events += ue.feed(std::span<const cf32>(s.rx).subspan(pos, n),
+                      std::span<const cf32>(s.ambient).subspan(pos, n))
+                  .size();
+    pos += n;
+    if (pos == 10 * spsf) before = obs::alloc_probe_count();
+  }
+  const auto delta = obs::alloc_probe_count() - before;
+  EXPECT_EQ(delta, 0u) << "ragged feed() allocated " << delta
+                       << " time(s) after warmup";
   EXPECT_EQ(events, s.packets);
 }
 

@@ -1,4 +1,5 @@
-// CRC: round-trips, error detection, and burst-error properties.
+// CRC: round-trips, error detection, burst-error properties, and the
+// table-driven register against the bit-serial long division.
 
 #include <gtest/gtest.h>
 
@@ -91,6 +92,54 @@ TEST(Crc, RandomCorruptionDetectionRate) {
     if (bad != good && check_crc32(bad)) ++false_accepts;
   }
   EXPECT_EQ(false_accepts, 0);
+}
+
+// The bit-serial long division crc_value used before it went
+// table-driven, kept as the oracle: the message padded with n_crc_bits
+// zeros, shifted through the register one bit at a time.
+std::uint32_t bit_serial_crc(std::span<const std::uint8_t> bits,
+                             std::uint32_t poly, std::size_t n_crc_bits) {
+  std::uint32_t reg = 0;
+  const std::uint32_t top = 1u << (n_crc_bits - 1);
+  const std::uint32_t mask =
+      n_crc_bits == 32 ? 0xFFFFFFFFu : ((1u << n_crc_bits) - 1u);
+  auto shift_in = [&](std::uint8_t bit) {
+    const bool feedback = (reg & top) != 0;
+    reg = ((reg << 1) | bit) & mask;
+    if (feedback) reg ^= poly & mask;
+  };
+  for (const std::uint8_t b : bits) shift_in(b & 1u);
+  for (std::size_t i = 0; i < n_crc_bits; ++i) shift_in(0);
+  return reg;
+}
+
+TEST(Crc, TableDrivenMatchesBitSerialOnRandomLengths) {
+  struct Generator {
+    std::uint32_t poly;
+    std::size_t bits;
+  };
+  // CRC-16-CCITT, CRC-24A, CRC-32, interleaved so calls alternate
+  // between the per-thread tables.
+  const Generator gens[] = {{0x1021u, 16}, {0x864CFBu, 24},
+                            {0x04C11DB7u, 32}};
+  Rng rng(20000);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Lengths 0..20000, every residue mod 8 (the bit-serial tail) hit.
+    const std::size_t len = trial < 16 ? static_cast<std::size_t>(trial)
+                                       : rng.uniform_int(20001);
+    auto bits = rng.bits(len);
+    if (trial % 2 == 1) {
+      // Only bit 0 of each input byte counts.
+      for (auto& b : bits) {
+        b |= static_cast<std::uint8_t>(rng.next_u32() & 0xFEu);
+      }
+    }
+    for (const Generator& g : gens) {
+      EXPECT_EQ(crc_value(bits, g.poly, g.bits),
+                bit_serial_crc(bits, g.poly, g.bits))
+          << "length " << len << ", CRC-" << g.bits;
+    }
+  }
 }
 
 }  // namespace
