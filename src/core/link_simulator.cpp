@@ -227,17 +227,15 @@ LinkMetrics LinkSimulator::run(std::size_t n_subframes) {
         channel::add_awgn(rx_direct, thermal_mw, noise_rng);
 
         if (config_.ambient == AmbientSource::kBlind) {
-          const auto rec = reconstructor_.reconstruct_blind(
+          // Rebuilt straight into the ambient buffer. A lost DCI leaves
+          // the subframe zero: no usable ambient reference.
+          const std::size_t at = ambient.size();
+          ambient.resize(at + tx.samples.size());
+          const auto re_total = reconstructor_.reconstruct_blind_into(
               rx_direct, sf, config_.enodeb.enable_pbch,
-              config_.enodeb.sync_boost_db);
-          if (rec) {
-            drop_.ambient_re_total += rec->re_total;
-            ambient.insert(ambient.end(), rec->samples.begin(),
-                           rec->samples.end());
-          } else {
-            // DCI lost: no usable ambient reference for this subframe.
-            ambient.insert(ambient.end(), tx.samples.size(), cf32{});
-          }
+              config_.enodeb.sync_boost_db,
+              std::span<cf32>(ambient).subspan(at, tx.samples.size()));
+          if (re_total) drop_.ambient_re_total += *re_total;
         } else {
           const ReconstructionResult rec = reconstructor_.reconstruct(
               rx_direct, tx, config_.enodeb.modulation);

@@ -130,17 +130,9 @@ std::span<const StreamingReceiver::PacketEvent> StreamingReceiver::feed(
   static obs::Histogram& demod_latency = stream_stage_cell("demod");
   obs::ScopedTimer stage_timer(feed_latency);
 #endif
-#if LSCATTER_CHECKS_ENABLED
-  // Thread-affinity check for the single-owner contract (see header):
-  // the first feed() pins the owner thread, every later call must match.
-  if (owner_thread_ == std::thread::id{}) {
-    owner_thread_ = std::this_thread::get_id();
-  }
-  LSCATTER_EXPECT(owner_thread_ == std::this_thread::get_id(),
-                  "StreamingReceiver::feed called from a second thread; "
-                  "the receiver is single-owner (wrap it in a lock or use "
-                  "one receiver per stream)");
-#endif
+  owner_.check(
+      "StreamingReceiver::feed called from a second thread; the receiver "
+      "is single-owner (wrap it in a lock or use one receiver per stream)");
   LSCATTER_OBS_COUNTER_INC("core.stream.feeds");
   assert(rx.size() == ambient.size());
   // Release builds tolerate a mismatched call by truncating to the

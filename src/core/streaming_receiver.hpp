@@ -26,11 +26,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <thread>
 #include <vector>
 
-#include "core/contracts.hpp"
 #include "core/lscatter_rx.hpp"
+#include "core/thread_safety.hpp"
 #include "lte/ue_sync.hpp"
 
 namespace lscatter::core {
@@ -142,12 +141,9 @@ class StreamingReceiver {
   /// allocation on the next clean packet, so the buffer is moved here
   /// first and moved back on the next crc_ok (one spare per event slot).
   std::vector<std::vector<std::uint8_t>> payload_spares_;
-#if LSCATTER_CHECKS_ENABLED
   // Single-owner contract: the receiver holds unguarded stream state, so
   // all feed() calls must come from one thread (whichever calls first).
-  // Checked in debug builds; compiled out under -DLSCATTER_CHECKS=OFF.
-  std::thread::id owner_thread_{};
-#endif
+  SingleOwner owner_;
 };
 
 }  // namespace lscatter::core

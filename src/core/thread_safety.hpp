@@ -51,6 +51,7 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -544,6 +545,29 @@ class CondVar {
 
  private:
   std::condition_variable_any cv_;
+};
+
+/// Thread affinity for single-owner objects, whose state has no lock and
+/// must only ever be touched by one thread (core::StreamingReceiver,
+/// core::AmbientReconstructor). check() pins the first calling thread; a
+/// call from any other thread later is a contract violation carrying
+/// `what`. Compiled out with the other checks (-DLSCATTER_CHECKS=OFF).
+class SingleOwner {
+ public:
+  void check(const char* what) {
+#if LSCATTER_CHECKS_ENABLED
+    const std::thread::id self = std::this_thread::get_id();
+    if (owner_ == std::thread::id{}) owner_ = self;
+    LSCATTER_EXPECT(owner_ == self, what);
+#else
+    (void)what;
+#endif
+  }
+
+ private:
+#if LSCATTER_CHECKS_ENABLED
+  std::thread::id owner_{};
+#endif
 };
 
 }  // namespace lscatter

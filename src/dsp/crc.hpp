@@ -6,6 +6,8 @@
 // Bit-level API: bits are one-per-byte (0/1), MSB-first, matching how the
 // rest of the PHY pipelines handle payloads.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,6 +41,20 @@ std::vector<std::uint8_t> crc32(std::span<const std::uint8_t> bits);
 std::vector<std::uint8_t> attach_crc24a(std::span<const std::uint8_t> bits);
 std::vector<std::uint8_t> attach_crc16(std::span<const std::uint8_t> bits);
 std::vector<std::uint8_t> attach_crc32(std::span<const std::uint8_t> bits);
+
+/// attach_crc16 for a fixed-size message: the codeword comes back as an
+/// array, without allocating.
+template <std::size_t N>
+std::array<std::uint8_t, N + 16> attach_crc16(
+    const std::array<std::uint8_t, N>& bits) {
+  std::array<std::uint8_t, N + 16> out{};
+  std::copy(bits.begin(), bits.end(), out.begin());
+  const std::uint32_t crc = crc_value(bits, 0x1021u, 16);
+  for (std::size_t i = 0; i < 16; ++i) {
+    out[N + i] = static_cast<std::uint8_t>((crc >> (15 - i)) & 1u);
+  }
+  return out;
+}
 
 /// True if the trailing CRC over the leading payload checks out.
 bool check_crc24a(std::span<const std::uint8_t> bits_with_crc);

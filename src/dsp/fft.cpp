@@ -28,14 +28,24 @@ void raise_workspace_peak(std::uint64_t v) {
   }
 }
 
-// Iterative radix-2 DIT on double-precision working buffers, dispatched
-// through the SIMD kernel table (dsp/simd.hpp): the scalar reference
-// lives in kernels_scalar.cpp, the vector tiers in kernels_{sse2,avx2}
-// .cpp. The indirect call costs one relaxed atomic load per transform —
-// noise next to n·log n butterflies.
+// Iterative radix-2 DIT butterflies on a bit-reversed double-precision
+// buffer, dispatched through the SIMD kernel table (dsp/simd.hpp): the
+// scalar reference lives in kernels_scalar.cpp, the vector tiers in
+// kernels_{sse2,avx2}.cpp. The indirect call costs one relaxed atomic
+// load per transform — noise next to n·log n butterflies.
 inline void radix2(cf64* a, std::size_t n, const cf64* twiddle,
-                   const std::uint32_t* rev, bool invert) {
-  simd_kernels().fft_radix2(a, n, twiddle, rev, invert);
+                   bool invert) {
+  simd_kernels().fft_radix2(a, n, twiddle, invert);
+}
+
+// In-place bit-reversal permutation for the buffers that are not widened
+// from cf32 on the way in (the cf64 transforms and Bluestein's
+// convolution); run_with gathers in bit-reversed order instead.
+void bit_reverse(cf64* a, std::size_t n, const std::uint32_t* rev) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = rev[i];
+    if (i < j) std::swap(a[i], a[j]);
+  }
 }
 
 std::vector<std::uint32_t> make_bitrev(std::size_t n) {
@@ -141,19 +151,13 @@ struct FftPlan::Impl {
   std::vector<cf64> m_twiddle;
   std::vector<std::uint32_t> m_bitrev;
 
-  /// Transform `a` (length n) using scratch `u` (length m; unused and may
-  /// be empty on the power-of-two path). Heap-allocation-free.
-  void run(std::span<cf64> a, std::span<cf64> u, bool invert) const {
-    if (m == 0) {
-      radix2(a.data(), a.size(), twiddle.data(), bitrev.data(), invert);
-      return;
-    }
-    // Bluestein: X_k = conj(b_k) * sum_n [a_n conj(b_n)] b_{k-n}
+  /// Forward Bluestein transform of `a` (length n, natural order) using
+  /// scratch `u` (length m). Heap-allocation-free. Inverses go through
+  /// the conjugate identity (see run_with).
+  void bluestein(std::span<cf64> a, std::span<cf64> u) const {
+    // X_k = conj(b_k) * sum_n [a_n conj(b_n)] b_{k-n}
     // (complex products spelled out in real arithmetic — see radix2).
     const std::size_t n = a.size();
-    LSCATTER_ASSERT(!invert,
-                    "Bluestein inverse must go through the conjugate "
-                    "identity (see run_with)");
     for (std::size_t i = 0; i < n; ++i) {
       const cf64 c = chirp[i];  // multiply by conj(c)
       const cf64 x = a[i];
@@ -161,9 +165,11 @@ struct FftPlan::Impl {
                   x.imag() * c.real() - x.real() * c.imag()};
     }
     std::fill(u.begin() + static_cast<std::ptrdiff_t>(n), u.end(), cf64{});
-    radix2(u.data(), m, m_twiddle.data(), m_bitrev.data(), false);
+    bit_reverse(u.data(), m, m_bitrev.data());
+    radix2(u.data(), m, m_twiddle.data(), false);
     simd_kernels().cmul64(u.data(), chirp_fft.data(), m);
-    radix2(u.data(), m, m_twiddle.data(), m_bitrev.data(), true);
+    bit_reverse(u.data(), m, m_bitrev.data());
+    radix2(u.data(), m, m_twiddle.data(), true);
     const double inv_m = 1.0 / static_cast<double>(m);
     for (std::size_t k = 0; k < n; ++k) {
       const cf64 x = u[k];
@@ -199,7 +205,8 @@ FftPlan::FftPlan(std::size_t n) : n_(n), impl_(std::make_unique<Impl>()) {
     b[i] = impl_->chirp[i];
     b[m - i] = impl_->chirp[i];
   }
-  radix2(b.data(), m, impl_->m_twiddle.data(), impl_->m_bitrev.data(), false);
+  bit_reverse(b.data(), m, impl_->m_bitrev.data());
+  radix2(b.data(), m, impl_->m_twiddle.data(), false);
   impl_->chirp_fft = std::move(b);
 }
 
@@ -233,19 +240,30 @@ void FftPlan::run_with(std::span<cf32> data, Workspace& ws,
   ws.reserve(n_, impl_->m);
   const std::span<cf64> a(ws.a_.data(), n_);
   const std::span<cf64> u(ws.u_.data(), impl_->m);
+  // IDFT(x) = conj(DFT(conj(x))) / N — valid for both kernels. The
+  // conjugate is a negation (not a multiply by -1) so NaN signs flip too.
+  // Power-of-two plans widen in bit-reversed order, so the butterflies
+  // run on the load directly; Bluestein permutes its own convolution.
+  if (impl_->m == 0) {
+    const std::uint32_t* rev = impl_->bitrev.data();
+    for (std::size_t i = 0; i < n_; ++i) {
+      const cf32 x = data[rev[i]];
+      a[i] = cf64{x.real(), invert ? -x.imag() : x.imag()};
+    }
+    radix2(a.data(), n_, impl_->twiddle.data(), false);
+  } else {
+    for (std::size_t i = 0; i < n_; ++i) {
+      const cf32 x = data[i];
+      a[i] = cf64{x.real(), invert ? -x.imag() : x.imag()};
+    }
+    impl_->bluestein(a, u);
+  }
   if (!invert) {
-    for (std::size_t i = 0; i < n_; ++i)
-      a[i] = cf64{data[i].real(), data[i].imag()};
-    impl_->run(a, u, false);
     for (std::size_t i = 0; i < n_; ++i)
       data[i] = cf32{static_cast<float>(a[i].real()),
                      static_cast<float>(a[i].imag())};
     return;
   }
-  // IDFT(x) = conj(DFT(conj(x))) / N — valid for both kernels.
-  for (std::size_t i = 0; i < n_; ++i)
-    a[i] = cf64{data[i].real(), -data[i].imag()};
-  impl_->run(a, u, false);
   const double inv_n = 1.0 / static_cast<double>(n_);
   for (std::size_t i = 0; i < n_; ++i)
     data[i] = cf32{static_cast<float>(a[i].real() * inv_n),
@@ -270,19 +288,28 @@ void FftPlan::inverse_inplace(std::span<cf32> data, Workspace& ws) const {
 
 void FftPlan::forward_inplace64(std::span<cf64> data) const {
   LSCATTER_EXPECT(data.size() == n_, "buffer length must match the plan size");
-  LSCATTER_EXPECT(impl_->m == 0,
-                  "the double-precision path needs a power-of-two plan");
-  radix2(data.data(), data.size(), impl_->twiddle.data(),
-         impl_->bitrev.data(), false);
+  if (impl_->m != 0) {
+    Workspace& ws = thread_workspace();
+    ws.reserve(0, impl_->m);
+    impl_->bluestein(data, std::span<cf64>(ws.u_.data(), impl_->m));
+    return;
+  }
+  bit_reverse(data.data(), n_, impl_->bitrev.data());
+  radix2(data.data(), n_, impl_->twiddle.data(), false);
 }
 
 void FftPlan::inverse_inplace64(std::span<cf64> data) const {
   LSCATTER_EXPECT(data.size() == n_, "buffer length must match the plan size");
-  LSCATTER_EXPECT(impl_->m == 0,
-                  "the double-precision path needs a power-of-two plan");
-  radix2(data.data(), data.size(), impl_->twiddle.data(),
-         impl_->bitrev.data(), true);
   const double inv_n = 1.0 / static_cast<double>(n_);
+  if (impl_->m != 0) {
+    // The conjugate identity, exactly as run_with applies it.
+    for (cf64& v : data) v = cf64{v.real(), -v.imag()};
+    forward_inplace64(data);
+    for (cf64& v : data) v = cf64{v.real() * inv_n, -v.imag() * inv_n};
+    return;
+  }
+  bit_reverse(data.data(), n_, impl_->bitrev.data());
+  radix2(data.data(), n_, impl_->twiddle.data(), true);
   for (cf64& v : data) v *= inv_n;
 }
 

@@ -89,9 +89,12 @@ class FftPlan {
   void inverse_inplace(std::span<cf32> data, Workspace& ws) const;
 
   /// Double-precision transforms operating directly on the caller's
-  /// buffer — no cf32 conversion, no scratch at all. Power-of-two plans
-  /// only (the radix-2 kernel runs truly in place); used by the FFT
-  /// correlator. inverse_inplace64 applies the 1/N scaling.
+  /// buffer — no cf32 conversion. Power-of-two plans need no scratch at
+  /// all (the radix-2 kernel runs truly in place; used by the FFT
+  /// correlator); other sizes borrow the calling thread's Bluestein
+  /// scratch. inverse_inplace64 applies the 1/N scaling. On a widened
+  /// cf32 buffer, narrowing the result gives exactly what
+  /// forward_inplace/inverse_inplace compute (test_dsp_fft pins it).
   void forward_inplace64(std::span<cf64> data) const;
   void inverse_inplace64(std::span<cf64> data) const;
 

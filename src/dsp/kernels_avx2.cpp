@@ -42,16 +42,7 @@ inline __m256d cmul2(__m256d y, __m256d wr, __m256d wi) {
   return _mm256_fmaddsub_pd(y, wr, _mm256_mul_pd(yswap, wi));
 }
 
-void fft_radix2(cf64* a, std::size_t n, const cf64* twiddle,
-                const std::uint32_t* rev, bool invert) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = rev[i];
-    if (i < j) {
-      const cf64 t = a[i];
-      a[i] = a[j];
-      a[j] = t;
-    }
-  }
+void fft_radix2(cf64* a, std::size_t n, const cf64* twiddle, bool invert) {
   if (n < 2) return;
   auto* d = reinterpret_cast<double*>(a);
   const double s = invert ? -1.0 : 1.0;

@@ -7,7 +7,6 @@
 // discipline as the pre-SIMD hot loops it absorbed (see the radix2 note
 // below).
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -17,8 +16,8 @@
 namespace lscatter::dsp::detail {
 namespace {
 
-// Iterative radix-2 DIT on double-precision working buffers (moved here
-// verbatim from fft.cpp).
+// Iterative radix-2 DIT butterflies on a double-precision buffer that is
+// already in bit-reversed order (fft.cpp permutes while it loads).
 //
 // The butterflies spell out the complex multiply in real arithmetic:
 // std::complex<double> operator* otherwise goes through the IEEE-pedantic
@@ -28,12 +27,7 @@ namespace {
 // reload the twiddle after every butterfly store, which measures ~5x
 // slower than this form at n = 1024.
 void fft_radix2(cf64* __restrict a, std::size_t n,
-                const cf64* __restrict twiddle,
-                const std::uint32_t* __restrict rev, bool invert) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = rev[i];
-    if (i < j) std::swap(a[i], a[j]);
-  }
+                const cf64* __restrict twiddle, bool invert) {
   // Twiddles are stored for the forward transform; the inverse conjugates
   // them. Folding the conjugation into a sign keeps the inner loop
   // branch-free (multiplying by ±1.0 is exact, so this cannot perturb

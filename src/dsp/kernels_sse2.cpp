@@ -33,16 +33,7 @@ inline __m128d cmul1(__m128d x, __m128d wr, __m128d wi) {
   return _mm_add_pd(_mm_mul_pd(x, wr), cross);
 }
 
-void fft_radix2(cf64* a, std::size_t n, const cf64* twiddle,
-                const std::uint32_t* rev, bool invert) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = rev[i];
-    if (i < j) {
-      const cf64 t = a[i];
-      a[i] = a[j];
-      a[j] = t;
-    }
-  }
+void fft_radix2(cf64* a, std::size_t n, const cf64* twiddle, bool invert) {
   auto* d = reinterpret_cast<double*>(a);
   const double s = invert ? -1.0 : 1.0;
   const __m128d sign = _mm_set1_pd(s);

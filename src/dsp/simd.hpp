@@ -44,12 +44,13 @@ const char* to_string(SimdTier t);
 struct SimdKernels {
   SimdTier tier = SimdTier::kScalar;
 
-  /// Iterative radix-2 DIT FFT on interleaved cf64. `twiddle` holds the
-  /// n/2 forward twiddles, `rev` the bit-reversal permutation; `invert`
-  /// conjugates the twiddles via a folded sign (exact for the forward
-  /// path). Power-of-two n only.
+  /// Iterative radix-2 DIT butterflies on interleaved cf64 that is
+  /// already in bit-reversed order (the caller permutes; dsp/fft.cpp folds
+  /// it into its widening load). `twiddle` holds the n/2 forward
+  /// twiddles; `invert` conjugates them via a folded sign (exact for the
+  /// forward path). Power-of-two n only.
   void (*fft_radix2)(cf64* a, std::size_t n, const cf64* twiddle,
-                     const std::uint32_t* rev, bool invert) = nullptr;
+                     bool invert) = nullptr;
 
   /// Correlation MAC: *ar/*ai += sum_k s[k] * conj(p[k]), accumulated in
   /// double.

@@ -191,9 +191,14 @@ void OfdmDemodulator::demod_symbol_with(std::span<const cf32> samples,
   }
 
   // Gather subcarriers, applying the inverse scaling at the gather so the
-  // full K-bin pass is skipped.
-  for (std::size_t sc = 0; sc < out.size(); ++sc)
-    out[sc] = bins[subcarrier_to_bin(sc, out.size(), k)] * bin_scale_;
+  // full K-bin pass is skipped. subcarrier_to_bin() is two contiguous
+  // runs: the top `half` bins, then bins 1..n_sc - half.
+  const std::size_t half = out.size() / 2;
+  const cf32* neg = bins.data() + (k - half);
+  for (std::size_t sc = 0; sc < half; ++sc) out[sc] = neg[sc] * bin_scale_;
+  const cf32* pos = bins.data() + 1;
+  for (std::size_t sc = half; sc < out.size(); ++sc)
+    out[sc] = pos[sc - half] * bin_scale_;
 }
 
 }  // namespace lscatter::lte

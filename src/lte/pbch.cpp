@@ -33,48 +33,47 @@ std::optional<Mib> bits_to_mib(std::span<const std::uint8_t> bits) {
   return mib;
 }
 
-std::vector<std::size_t> pbch_subcarriers(const CellConfig& cfg,
-                                          std::size_t l) {
-  // Central 6 RB = 72 subcarriers, minus CRS positions in CRS-bearing
-  // symbols (of the kPbchSymbolIndices, only l == 7 carries CRS).
-  const std::size_t first = cfg.n_subcarriers() / 2 - 36;
-  std::vector<std::size_t> out;
-  out.reserve(72);
-  const bool has_crs = l == 7;
-  const std::size_t v_shift = cfg.cell_id() % 6;
-  for (std::size_t i = 0; i < 72; ++i) {
-    const std::size_t k = first + i;
-    if (has_crs && (k % 6) == (v_shift % 6)) continue;
-    out.push_back(k);
-  }
-  return out;
-}
-
 namespace {
 
 constexpr std::size_t kCodewordBits = 24 + 16;  // MIB + CRC16
 
-std::vector<std::uint8_t> pbch_codeword(const Mib& mib) {
-  const auto mib_bits = mib_to_bits(mib);
-  return dsp::attach_crc16(mib_bits);
+// Calls fn(k) for each PBCH subcarrier of symbol l, in mapping order: the
+// central 6 RB = 72 subcarriers, minus CRS positions in CRS-bearing
+// symbols (of the kPbchSymbolIndices, only l == 7 carries CRS).
+template <class Fn>
+void for_each_pbch_subcarrier(const CellConfig& cfg, std::size_t l,
+                              Fn&& fn) {
+  const std::size_t first = cfg.n_subcarriers() / 2 - 36;
+  const bool has_crs = l == 7;
+  const std::size_t crs = crs_first_subcarrier(cfg, l);
+  for (std::size_t i = 0; i < 72; ++i) {
+    const std::size_t k = first + i;
+    if (!(has_crs && k % 6 == crs)) fn(k);
+  }
 }
 
 }  // namespace
 
+std::vector<std::size_t> pbch_subcarriers(const CellConfig& cfg,
+                                          std::size_t l) {
+  std::vector<std::size_t> out;
+  out.reserve(72);
+  for_each_pbch_subcarrier(cfg, l, [&](std::size_t k) { out.push_back(k); });
+  return out;
+}
+
 void map_pbch(const CellConfig& cfg, const Mib& mib, ResourceGrid& grid) {
-  const auto codeword = pbch_codeword(mib);
-  std::size_t bit_cursor = 0;
+  // The codeword repeats every kCodewordBits / 2 QPSK symbols, so it is
+  // modulated once and cycled over the region.
+  std::array<cf32, kCodewordBits / 2> symbols;
+  qam_modulate_into(dsp::attach_crc16(mib_to_bits(mib)), Modulation::kQpsk,
+                    symbols);
+  std::size_t cursor = 0;
   for (const std::size_t l : kPbchSymbolIndices) {
-    for (const std::size_t k : pbch_subcarriers(cfg, l)) {
-      std::uint8_t pair[2] = {
-          codeword[bit_cursor % kCodewordBits],
-          codeword[(bit_cursor + 1) % kCodewordBits],
-      };
-      bit_cursor += 2;
-      grid.at(l, k) = qam_modulate(std::span<const std::uint8_t>(pair, 2),
-                                   Modulation::kQpsk)[0];
+    for_each_pbch_subcarrier(cfg, l, [&](std::size_t k) {
+      grid.at(l, k) = symbols[cursor++ % symbols.size()];
       grid.type_at(l, k) = ReType::kPbch;
-    }
+    });
   }
 }
 
@@ -85,14 +84,14 @@ std::optional<Mib> decode_pbch(const CellConfig& cfg,
   std::array<double, kCodewordBits> acc{};
   std::size_t bit_cursor = 0;
   for (const std::size_t l : kPbchSymbolIndices) {
-    for (const std::size_t k : pbch_subcarriers(cfg, l)) {
+    for_each_pbch_subcarrier(cfg, l, [&](std::size_t k) {
       const cf32 v = equalized_grid.at(l, k);
       acc[bit_cursor % kCodewordBits] += v.real();
       acc[(bit_cursor + 1) % kCodewordBits] += v.imag();
       bit_cursor += 2;
-    }
+    });
   }
-  std::vector<std::uint8_t> bits(kCodewordBits);
+  std::array<std::uint8_t, kCodewordBits> bits{};
   for (std::size_t i = 0; i < kCodewordBits; ++i) {
     bits[i] = acc[i] < 0.0 ? 1 : 0;  // QPSK: positive axis = bit 0
   }

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "dsp/crc.hpp"
-#include "lte/pbch.hpp"
 #include "lte/signal_map.hpp"
 
 namespace lscatter::lte {
@@ -37,113 +36,58 @@ std::optional<Dci> bits_to_dci(std::span<const std::uint8_t> bits) {
   return dci;
 }
 
+namespace {
+
+constexpr std::size_t kDciCodeword = 16 + 16;  // DCI + CRC16
+
+// Calls fn(k) for each control-region subcarrier, in mapping order:
+// symbol 0 minus its CRS positions.
+template <class Fn>
+void for_each_pdcch_subcarrier(const CellConfig& cfg, Fn&& fn) {
+  const std::size_t crs = crs_first_subcarrier(cfg, kPdcchSymbolIndex);
+  for (std::size_t k = 0; k < cfg.n_subcarriers(); ++k) {
+    if (k % 6 != crs) fn(k);
+  }
+}
+
+}  // namespace
+
 std::vector<std::size_t> pdcch_subcarriers(const CellConfig& cfg) {
-  const std::size_t v_shift = cfg.cell_id() % 6;
   std::vector<std::size_t> out;
   out.reserve(cfg.n_subcarriers());
-  for (std::size_t k = 0; k < cfg.n_subcarriers(); ++k) {
-    if ((k % 6) == (v_shift % 6)) continue;  // CRS at l = 0, v = 0
-    out.push_back(k);
-  }
+  for_each_pdcch_subcarrier(cfg, [&](std::size_t k) { out.push_back(k); });
   return out;
 }
 
-namespace {
-constexpr std::size_t kDciCodeword = 16 + 16;  // DCI + CRC16
-}
-
 void map_pdcch(const CellConfig& cfg, const Dci& dci, ResourceGrid& grid) {
-  const auto codeword = dsp::attach_crc16(dci_to_bits(dci));
+  // The codeword repeats every kDciCodeword / 2 QPSK symbols, so it is
+  // modulated once and cycled over the control region.
+  std::array<cf32, kDciCodeword / 2> symbols;
+  qam_modulate_into(dsp::attach_crc16(dci_to_bits(dci)), Modulation::kQpsk,
+                    symbols);
   std::size_t cursor = 0;
-  for (const std::size_t k : pdcch_subcarriers(cfg)) {
-    const std::uint8_t pair[2] = {codeword[cursor % kDciCodeword],
-                                  codeword[(cursor + 1) % kDciCodeword]};
-    cursor += 2;
-    grid.at(kPdcchSymbolIndex, k) =
-        qam_modulate(std::span<const std::uint8_t>(pair, 2),
-                     Modulation::kQpsk)[0];
+  for_each_pdcch_subcarrier(cfg, [&](std::size_t k) {
+    grid.at(kPdcchSymbolIndex, k) = symbols[cursor++ % symbols.size()];
     grid.type_at(kPdcchSymbolIndex, k) = ReType::kPdcch;
-  }
+  });
 }
 
 std::optional<Dci> decode_pdcch(const CellConfig& cfg,
                                 const ResourceGrid& equalized_grid) {
   std::array<double, kDciCodeword> acc{};
   std::size_t cursor = 0;
-  for (const std::size_t k : pdcch_subcarriers(cfg)) {
+  for_each_pdcch_subcarrier(cfg, [&](std::size_t k) {
     const cf32 v = equalized_grid.at(kPdcchSymbolIndex, k);
     acc[cursor % kDciCodeword] += v.real();
     acc[(cursor + 1) % kDciCodeword] += v.imag();
     cursor += 2;
-  }
-  std::vector<std::uint8_t> bits(kDciCodeword);
+  });
+  std::array<std::uint8_t, kDciCodeword> bits{};
   for (std::size_t i = 0; i < kDciCodeword; ++i) {
     bits[i] = acc[i] < 0.0 ? 1 : 0;
   }
   if (!dsp::check_crc16(bits)) return std::nullopt;
   return bits_to_dci(bits);
-}
-
-std::vector<ReType> derive_re_types(const CellConfig& cfg,
-                                    std::size_t subframe_index,
-                                    const Dci& dci, bool pbch_enabled) {
-  const std::size_t n_sc = cfg.n_subcarriers();
-  std::vector<ReType> types(kSymbolsPerSubframe * n_sc, ReType::kData);
-  auto at = [&](std::size_t l, std::size_t k) -> ReType& {
-    return types[l * n_sc + k];
-  };
-
-  // Sync signals + guards.
-  if (is_sync_subframe(subframe_index)) {
-    const std::size_t first = sync_band_first_subcarrier(cfg);
-    for (std::size_t n = 0; n < kSyncSubcarriers; ++n) {
-      at(kPssSymbolIndex, first + n) = ReType::kPss;
-      at(kSssSymbolIndex, first + n) = ReType::kSss;
-    }
-    for (std::size_t g = 1; g <= 5; ++g) {
-      for (const std::size_t l : {kPssSymbolIndex, kSssSymbolIndex}) {
-        if (first >= g) at(l, first - g) = ReType::kUnused;
-        if (first + kSyncSubcarriers + g - 1 < n_sc) {
-          at(l, first + kSyncSubcarriers + g - 1) = ReType::kUnused;
-        }
-      }
-    }
-  }
-
-  // CRS lattice.
-  for (const std::size_t l : kCrsSymbolIndices) {
-    for (const std::size_t k : crs_subcarriers(cfg, l)) {
-      at(l, k) = ReType::kCrs;
-    }
-  }
-
-  // PBCH region.
-  if (pbch_enabled && subframe_index % kSubframesPerFrame == 0) {
-    for (const std::size_t l : kPbchSymbolIndices) {
-      for (const std::size_t k : pbch_subcarriers(cfg, l)) {
-        at(l, k) = ReType::kPbch;
-      }
-    }
-  }
-
-  // Control region.
-  for (const std::size_t k : pdcch_subcarriers(cfg)) {
-    at(kPdcchSymbolIndex, k) = ReType::kPdcch;
-  }
-
-  // Center-RB scheduling gaps (skipped entirely at 1.4 MHz, matching the
-  // eNodeB).
-  if (n_sc > 72) {
-    const std::size_t center_first = n_sc / 2 - 36;
-    for (std::size_t l = 0; l < kSymbolsPerSubframe; ++l) {
-      if (dci.center_active(l)) continue;
-      for (std::size_t i = 0; i < 72; ++i) {
-        const std::size_t k = center_first + i;
-        if (at(l, k) == ReType::kData) at(l, k) = ReType::kUnused;
-      }
-    }
-  }
-  return types;
 }
 
 }  // namespace lscatter::lte

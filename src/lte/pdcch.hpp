@@ -48,11 +48,4 @@ std::optional<Dci> decode_pdcch(const CellConfig& cfg,
 /// Control-region subcarriers (symbol 0, CRS excluded), mapping order.
 std::vector<std::size_t> pdcch_subcarriers(const CellConfig& cfg);
 
-/// Rebuild the full RE-type map of a subframe from broadcast knowledge:
-/// cell identity + subframe index + decoded DCI (+ PBCH presence).
-/// This is the non-genie counterpart of reading SubframeTx::grid types.
-std::vector<ReType> derive_re_types(const CellConfig& cfg,
-                                    std::size_t subframe_index,
-                                    const Dci& dci, bool pbch_enabled);
-
 }  // namespace lscatter::lte

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/contracts.hpp"
 #include "dsp/simd.hpp"
 
 namespace lscatter::lte {
@@ -85,9 +86,10 @@ cvec qam_modulate(std::span<const std::uint8_t> bits, Modulation m) {
 
 void qam_modulate_into(std::span<const std::uint8_t> bits, Modulation m,
                        std::span<cf32> out) {
-  const std::size_t bps = bits_per_symbol(m);
-  assert(bits.size() % bps == 0);
-  assert(out.size() == bits.size() / bps);
+  // A contract rather than an assert, so release builds check it too: an
+  // undersized `bits` would be read past.
+  LSCATTER_EXPECT(bits.size() == out.size() * bits_per_symbol(m),
+                  "bits must hold exactly bits_per_symbol bits per symbol");
   const std::size_t n = out.size();
   const QamLuts& lut = qam_luts();
   // Bits are 0/1 by contract; the & 1 below makes a stray byte select a
@@ -126,7 +128,8 @@ std::vector<std::uint8_t> qam_demodulate(std::span<const cf32> symbols,
 
 void qam_demodulate_into(std::span<const cf32> symbols, Modulation m,
                          std::span<std::uint8_t> bits) {
-  assert(bits.size() == symbols.size() * bits_per_symbol(m));
+  LSCATTER_EXPECT(bits.size() == symbols.size() * bits_per_symbol(m),
+                  "bits must hold exactly bits_per_symbol bits per symbol");
   // The demap thresholds live beside the kernels (dsp/simd_tables.hpp)
   // and mirror the constellation constants above; every tier is
   // bit-exact, so which one runs is unobservable here.

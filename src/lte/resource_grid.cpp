@@ -16,42 +16,6 @@ ResourceGrid::ResourceGrid(const CellConfig& cfg)
       re_(kSymbolsPerSubframe * n_sc_, cf32{}),
       types_(kSymbolsPerSubframe * n_sc_, ReType::kData) {}
 
-cf32& ResourceGrid::at(std::size_t symbol, std::size_t subcarrier) {
-  assert(symbol < kSymbolsPerSubframe && subcarrier < n_sc_);
-  return re_[symbol * n_sc_ + subcarrier];
-}
-
-cf32 ResourceGrid::at(std::size_t symbol, std::size_t subcarrier) const {
-  assert(symbol < kSymbolsPerSubframe && subcarrier < n_sc_);
-  return re_[symbol * n_sc_ + subcarrier];
-}
-
-ReType& ResourceGrid::type_at(std::size_t symbol, std::size_t subcarrier) {
-  assert(symbol < kSymbolsPerSubframe && subcarrier < n_sc_);
-  return types_[symbol * n_sc_ + subcarrier];
-}
-
-ReType ResourceGrid::type_at(std::size_t symbol,
-                             std::size_t subcarrier) const {
-  assert(symbol < kSymbolsPerSubframe && subcarrier < n_sc_);
-  return types_[symbol * n_sc_ + subcarrier];
-}
-
-std::span<cf32> ResourceGrid::symbol(std::size_t l) {
-  assert(l < kSymbolsPerSubframe);
-  return std::span<cf32>(re_).subspan(l * n_sc_, n_sc_);
-}
-
-std::span<const cf32> ResourceGrid::symbol(std::size_t l) const {
-  assert(l < kSymbolsPerSubframe);
-  return std::span<const cf32>(re_).subspan(l * n_sc_, n_sc_);
-}
-
-std::span<const ReType> ResourceGrid::symbol_types(std::size_t l) const {
-  assert(l < kSymbolsPerSubframe);
-  return std::span<const ReType>(types_).subspan(l * n_sc_, n_sc_);
-}
-
 void ResourceGrid::clear() {
   std::fill(re_.begin(), re_.end(), cf32{});
   std::fill(types_.begin(), types_.end(), ReType::kData);
@@ -79,20 +43,34 @@ cvec ResourceGrid::to_fft_bins(std::size_t l) const {
   return bins;
 }
 
+// subcarrier_to_bin() as two contiguous runs: the lower half of the band
+// [0, half) lands on bins [K - half, K), the upper half on [1, n_sc - half
+// + 1). Everything between (DC and the guard band) stays empty.
 void ResourceGrid::to_fft_bins_into(std::size_t l,
                                     std::span<cf32> bins) const {
   LSCATTER_EXPECT(bins.size() == fft_size_,
                   "bin buffer must hold exactly fft_size elements");
-  std::fill(bins.begin(), bins.end(), cf32{});
+  const std::size_t half = n_sc_ / 2;
   const auto sym = symbol(l);
-  for (std::size_t k = 0; k < n_sc_; ++k) bins[subcarrier_to_bin(k)] = sym[k];
+  bins[0] = cf32{};
+  std::copy(sym.begin() + static_cast<std::ptrdiff_t>(half), sym.end(),
+            bins.begin() + 1);
+  std::fill(bins.begin() + static_cast<std::ptrdiff_t>(n_sc_ - half + 1),
+            bins.end() - static_cast<std::ptrdiff_t>(half), cf32{});
+  std::copy(sym.begin(), sym.begin() + static_cast<std::ptrdiff_t>(half),
+            bins.end() - static_cast<std::ptrdiff_t>(half));
 }
 
 void ResourceGrid::from_fft_bins(std::size_t l,
                                  std::span<const cf32> bins) {
   assert(bins.size() == fft_size_);
+  const std::size_t half = n_sc_ / 2;
   auto sym = symbol(l);
-  for (std::size_t k = 0; k < n_sc_; ++k) sym[k] = bins[subcarrier_to_bin(k)];
+  std::copy(bins.end() - static_cast<std::ptrdiff_t>(half), bins.end(),
+            sym.begin());
+  std::copy(bins.begin() + 1,
+            bins.begin() + static_cast<std::ptrdiff_t>(n_sc_ - half + 1),
+            sym.begin() + static_cast<std::ptrdiff_t>(half));
 }
 
 }  // namespace lscatter::lte

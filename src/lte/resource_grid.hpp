@@ -3,6 +3,7 @@
 // resource elements, plus the mapping between subcarrier indices and FFT
 // bins (DC subcarrier unused, spectrum centered on the carrier).
 
+#include <cassert>
 #include <cstddef>
 #include <vector>
 
@@ -37,16 +38,37 @@ class ResourceGrid {
   std::size_t n_symbols() const { return kSymbolsPerSubframe; }
   std::size_t n_subcarriers() const { return n_sc_; }
 
-  dsp::cf32& at(std::size_t symbol, std::size_t subcarrier);
-  dsp::cf32 at(std::size_t symbol, std::size_t subcarrier) const;
+  dsp::cf32& at(std::size_t symbol, std::size_t subcarrier) {
+    assert(symbol < kSymbolsPerSubframe && subcarrier < n_sc_);
+    return re_[symbol * n_sc_ + subcarrier];
+  }
+  dsp::cf32 at(std::size_t symbol, std::size_t subcarrier) const {
+    assert(symbol < kSymbolsPerSubframe && subcarrier < n_sc_);
+    return re_[symbol * n_sc_ + subcarrier];
+  }
 
-  ReType& type_at(std::size_t symbol, std::size_t subcarrier);
-  ReType type_at(std::size_t symbol, std::size_t subcarrier) const;
+  ReType& type_at(std::size_t symbol, std::size_t subcarrier) {
+    assert(symbol < kSymbolsPerSubframe && subcarrier < n_sc_);
+    return types_[symbol * n_sc_ + subcarrier];
+  }
+  ReType type_at(std::size_t symbol, std::size_t subcarrier) const {
+    assert(symbol < kSymbolsPerSubframe && subcarrier < n_sc_);
+    return types_[symbol * n_sc_ + subcarrier];
+  }
 
   /// Whole-symbol views.
-  std::span<dsp::cf32> symbol(std::size_t l);
-  std::span<const dsp::cf32> symbol(std::size_t l) const;
-  std::span<const ReType> symbol_types(std::size_t l) const;
+  std::span<dsp::cf32> symbol(std::size_t l) {
+    assert(l < kSymbolsPerSubframe);
+    return std::span<dsp::cf32>(re_).subspan(l * n_sc_, n_sc_);
+  }
+  std::span<const dsp::cf32> symbol(std::size_t l) const {
+    assert(l < kSymbolsPerSubframe);
+    return std::span<const dsp::cf32>(re_).subspan(l * n_sc_, n_sc_);
+  }
+  std::span<const ReType> symbol_types(std::size_t l) const {
+    assert(l < kSymbolsPerSubframe);
+    return std::span<const ReType>(types_).subspan(l * n_sc_, n_sc_);
+  }
 
   void clear();
 

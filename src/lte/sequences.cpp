@@ -1,7 +1,10 @@
 #include "lte/sequences.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+
+#include "core/contracts.hpp"
 
 namespace lscatter::lte {
 
@@ -22,11 +25,11 @@ cvec zadoff_chu(std::uint32_t root, std::size_t n) {
   return out;
 }
 
-cvec pss_sequence(std::uint8_t n_id_2) {
+std::array<cf32, kSyncSubcarriers> pss_sequence(std::uint8_t n_id_2) {
   assert(n_id_2 < 3);
   static constexpr std::array<std::uint32_t, 3> kRoots = {25, 29, 34};
   const std::uint32_t u = kRoots[n_id_2];
-  cvec d(62);
+  std::array<cf32, kSyncSubcarriers> d;
   for (std::size_t n = 0; n < 31; ++n) {
     const std::size_t q = (u * n * (n + 1)) % 126;
     const double ang = -kPi * static_cast<double>(q) / 63.0;
@@ -62,7 +65,9 @@ std::array<int, 31> m_sequence(std::array<int, 5> tap_indices,
 
 }  // namespace
 
-cvec sss_sequence(std::uint16_t n_id_1, std::uint8_t n_id_2, bool subframe5) {
+std::array<cf32, kSyncSubcarriers> sss_sequence(std::uint16_t n_id_1,
+                                                std::uint8_t n_id_2,
+                                                bool subframe5) {
   assert(n_id_1 < 168);
   assert(n_id_2 < 3);
 
@@ -85,7 +90,7 @@ cvec sss_sequence(std::uint16_t n_id_1, std::uint8_t n_id_2, bool subframe5) {
   auto c1 = [&](int n) { return c_tilde[(n + n_id_2 + 3) % 31]; };
   auto z1 = [&](int m, int n) { return z_tilde[(n + (m % 8)) % 31]; };
 
-  cvec d(62);
+  std::array<cf32, kSyncSubcarriers> d;
   for (int n = 0; n < 31; ++n) {
     int even = 0;
     int odd = 0;
@@ -102,44 +107,89 @@ cvec sss_sequence(std::uint16_t n_id_1, std::uint8_t n_id_2, bool subframe5) {
   return d;
 }
 
-std::vector<std::uint8_t> gold_sequence(std::uint32_t c_init,
-                                        std::size_t len) {
-  constexpr std::size_t kNc = 1600;
-  const std::size_t total = kNc + len + 31;
+namespace {
 
-  std::vector<std::uint8_t> x1(total, 0);
-  std::vector<std::uint8_t> x2(total, 0);
-  x1[0] = 1;
-  for (std::size_t i = 0; i < 31; ++i)
-    x2[i] = static_cast<std::uint8_t>((c_init >> i) & 1u);
+constexpr std::size_t kGoldNc = 1600;  // TS 36.211 §7.2 N_c
 
-  for (std::size_t n = 0; n + 31 < total; ++n) {
-    x1[n + 31] = static_cast<std::uint8_t>((x1[n + 3] + x1[n]) & 1u);
-    x2[n + 31] = static_cast<std::uint8_t>(
-        (x2[n + 3] + x2[n + 2] + x2[n + 1] + x2[n]) & 1u);
+/// The two Gold shift registers, one word each: bit i holds x(n + i) for
+/// the current position n. Both recursions tap only x(n)..x(n + 3), so
+/// up to 28 new bits of each come out of one shift-and-xor.
+class GoldWords {
+ public:
+  explicit GoldWords(std::uint32_t c_init) : x2_(c_init & 0x7FFFFFFFu) {}
+
+  /// Moves n forward by k <= 28 positions.
+  void advance(unsigned k) {
+    const std::uint32_t mask = (1u << k) - 1u;
+    const std::uint32_t n1 = ((x1_ >> 3) ^ x1_) & mask;
+    const std::uint32_t n2 =
+        ((x2_ >> 3) ^ (x2_ >> 2) ^ (x2_ >> 1) ^ x2_) & mask;
+    x1_ = (x1_ >> k) | (n1 << (31 - k));
+    x2_ = (x2_ >> k) | (n2 << (31 - k));
   }
 
+  void skip(std::size_t n) {
+    for (; n > kStep; n -= kStep) advance(kStep);
+    if (n > 0) advance(static_cast<unsigned>(n));
+  }
+
+  /// Bit i is c(n + i - N_c) for i < 31, once skip(N_c) has run.
+  std::uint32_t bits() const { return x1_ ^ x2_; }
+
+  static constexpr unsigned kStep = 28;
+
+ private:
+  std::uint32_t x1_ = 1;
+  std::uint32_t x2_;
+};
+
+}  // namespace
+
+std::vector<std::uint8_t> gold_sequence(std::uint32_t c_init,
+                                        std::size_t len) {
   std::vector<std::uint8_t> c(len);
-  for (std::size_t n = 0; n < len; ++n)
-    c[n] = static_cast<std::uint8_t>((x1[n + kNc] + x2[n + kNc]) & 1u);
+  GoldWords g(c_init);
+  g.skip(kGoldNc);
+  for (std::size_t n = 0; n < len; n += GoldWords::kStep) {
+    const std::uint32_t w = g.bits();
+    const std::size_t take = std::min<std::size_t>(GoldWords::kStep, len - n);
+    for (std::size_t i = 0; i < take; ++i)
+      c[n + i] = static_cast<std::uint8_t>((w >> i) & 1u);
+    g.advance(GoldWords::kStep);
+  }
   return c;
 }
 
 cvec crs_values(std::uint16_t cell_id, std::size_t ns, std::size_t l) {
+  cvec r(2 * kMaxRb);
+  crs_values_into(cell_id, ns, l, 0, r);
+  return r;
+}
+
+void crs_values_into(std::uint16_t cell_id, std::size_t ns, std::size_t l,
+                     std::size_t first, std::span<cf32> out) {
   assert(ns < 20);
+  LSCATTER_EXPECT(first + out.size() <= 2 * kMaxRb,
+                  "CRS window must lie inside the 2*kMaxRb master set");
   constexpr std::uint32_t kNcp = 1;  // normal CP
   const std::uint32_t c_init = static_cast<std::uint32_t>(
       (1u << 10) * (7 * (ns + 1) + l + 1) * (2u * cell_id + 1) +
       2u * cell_id + kNcp);
-  const std::size_t n_vals = 2 * kMaxRb;
-  const auto c = gold_sequence(c_init, 2 * n_vals);
-  cvec r(n_vals);
+  // Value m is QPSK from Gold bits c(2m), c(2m + 1): bit 0 maps to
+  // +1/sqrt(2), bit 1 to -1/sqrt(2) (exactly inv_sqrt2 * (1 - 2c)).
+  GoldWords g(c_init);
+  g.skip(kGoldNc + 2 * first);
   const float inv_sqrt2 = static_cast<float>(1.0 / std::sqrt(2.0));
-  for (std::size_t m = 0; m < n_vals; ++m) {
-    r[m] = cf32{inv_sqrt2 * (1.0f - 2.0f * c[2 * m]),
-                inv_sqrt2 * (1.0f - 2.0f * c[2 * m + 1])};
+  constexpr std::size_t kPerStep = GoldWords::kStep / 2;
+  for (std::size_t m = 0; m < out.size(); m += kPerStep) {
+    const std::uint32_t w = g.bits();
+    const std::size_t take = std::min(kPerStep, out.size() - m);
+    for (std::size_t i = 0; i < take; ++i) {
+      out[m + i] = cf32{(w >> (2 * i)) & 1u ? -inv_sqrt2 : inv_sqrt2,
+                        (w >> (2 * i + 1)) & 1u ? -inv_sqrt2 : inv_sqrt2};
+    }
+    g.advance(GoldWords::kStep);
   }
-  return r;
 }
 
 }  // namespace lscatter::lte

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dsp/types.hpp"
+#include "lte/cell_config.hpp"
 
 namespace lscatter::lte {
 
@@ -20,27 +21,34 @@ dsp::cvec zadoff_chu(std::uint32_t root, std::size_t n);  // lint-ok: into — s
 /// PSS frequency-domain sequence d_u(n), n = 0..61 (TS 36.211 §6.11.1.1).
 /// N_ID2 in {0,1,2} selects root u in {25, 29, 34}. The length-63 ZC is
 /// punctured at its middle element (which would land on DC).
-dsp::cvec pss_sequence(std::uint8_t n_id_2);  // lint-ok: into — generated once and cached by callers
+std::array<dsp::cf32, kSyncSubcarriers> pss_sequence(std::uint8_t n_id_2);
 
 /// SSS frequency-domain sequence d(0..61) (TS 36.211 §6.11.2.1).
 /// Differs between subframe 0 and subframe 5 — that difference is what
 /// lets a UE find the frame boundary.
-// lint-ok: into — generated once and cached by callers
-dsp::cvec sss_sequence(std::uint16_t n_id_1, std::uint8_t n_id_2,
-                       bool subframe5);
+std::array<dsp::cf32, kSyncSubcarriers> sss_sequence(std::uint16_t n_id_1,
+                                                     std::uint8_t n_id_2,
+                                                     bool subframe5);
 
 /// Length-31 Gold sequence c(n) (TS 36.211 §7.2), n = 0..len-1, for the
-/// given c_init. Returned one bit per byte.
+/// given c_init. Returned one bit per byte. Both shift registers advance
+/// 28 bits per step (their taps reach at most 3 ahead).
 std::vector<std::uint8_t> gold_sequence(std::uint32_t c_init,
                                         std::size_t len);
+
+inline constexpr std::size_t kMaxRb = 110;  // N_RB^max,DL
 
 /// Cell-specific reference-signal symbol values r_{l,ns}(m) for antenna
 /// port 0 (TS 36.211 §6.10.1.1): QPSK from the Gold sequence with
 ///   c_init = 2^10 (7(ns+1) + l + 1)(2 N_cell + 1) + 2 N_cell + 1
 /// (normal CP). `ns` is the slot number 0..19, `l` the symbol in the slot.
 /// Returns 2*kMaxRb values; the cell maps a centered window of them.
-dsp::cvec crs_values(std::uint16_t cell_id, std::size_t ns, std::size_t l);  // lint-ok: into — per-symbol values memoized by signal_map
+dsp::cvec crs_values(std::uint16_t cell_id, std::size_t ns, std::size_t l);
 
-inline constexpr std::size_t kMaxRb = 110;  // N_RB^max,DL
+/// Values m = first .. first + out.size() - 1 of crs_values(), written
+/// into `out` without allocating; the Gold generator skips straight to
+/// value `first`. Requires first + out.size() <= 2*kMaxRb.
+void crs_values_into(std::uint16_t cell_id, std::size_t ns, std::size_t l,
+                     std::size_t first, std::span<dsp::cf32> out);
 
 }  // namespace lscatter::lte

@@ -2,12 +2,12 @@
 
 #include <cassert>
 
+#include "core/contracts.hpp"
 #include "lte/sequences.hpp"
 
 namespace lscatter::lte {
 
 using dsp::cf32;
-using dsp::cvec;
 
 bool is_sync_subframe(std::size_t subframe_index) {
   const std::size_t sf = subframe_index % kSubframesPerFrame;
@@ -24,8 +24,8 @@ void map_sync_signals(const CellConfig& cfg, std::size_t subframe_index,
   const bool sf5 = (subframe_index % kSubframesPerFrame) == 5;
   const std::size_t first = sync_band_first_subcarrier(cfg);
 
-  const cvec pss = pss_sequence(cfg.n_id_2);
-  const cvec sss = sss_sequence(cfg.n_id_1, cfg.n_id_2, sf5);
+  const auto pss = pss_sequence(cfg.n_id_2);
+  const auto sss = sss_sequence(cfg.n_id_1, cfg.n_id_2, sf5);
   for (std::size_t n = 0; n < kSyncSubcarriers; ++n) {
     grid.at(kPssSymbolIndex, first + n) = pss[n] * amplitude;
     grid.type_at(kPssSymbolIndex, first + n) = ReType::kPss;
@@ -50,42 +50,46 @@ void map_sync_signals(const CellConfig& cfg, std::size_t subframe_index,
   }
 }
 
-std::vector<std::size_t> crs_subcarriers(const CellConfig& cfg,
-                                         std::size_t l) {
+std::size_t crs_first_subcarrier(const CellConfig& cfg, std::size_t l) {
   const std::size_t v = (l == 4 || l == 11) ? 3 : 0;  // port 0
   const std::size_t v_shift = cfg.cell_id() % 6;
+  return (v + v_shift) % 6;
+}
+
+std::vector<std::size_t> crs_subcarriers(const CellConfig& cfg,
+                                         std::size_t l) {
+  const std::size_t first = crs_first_subcarrier(cfg, l);
   std::vector<std::size_t> out;
   out.reserve(2 * cfg.n_rb());
   for (std::size_t m = 0; m < 2 * cfg.n_rb(); ++m) {
-    out.push_back(6 * m + (v + v_shift) % 6);
+    out.push_back(6 * m + first);
   }
   return out;
 }
 
-dsp::cvec crs_values_for_symbol(const CellConfig& cfg,
-                                std::size_t subframe_index, std::size_t l) {
+void crs_values_for_symbol_into(const CellConfig& cfg,
+                                std::size_t subframe_index, std::size_t l,
+                                std::span<cf32> out) {
   assert(l == 0 || l == 4 || l == 7 || l == 11);
+  LSCATTER_EXPECT(out.size() == 2 * cfg.n_rb(),
+                  "CRS output must hold exactly 2 * n_rb values");
   const std::size_t ns =
       2 * (subframe_index % kSubframesPerFrame) + (l >= kSymbolsPerSlot);
-  const std::size_t l_in_slot = l % kSymbolsPerSlot;
-  const cvec all = crs_values(cfg.cell_id(), ns, l_in_slot);
-
   // Center the cell's 2*N_RB CRS values within the 2*kMaxRb master set.
-  const std::size_t offset = kMaxRb - cfg.n_rb();
-  cvec out(2 * cfg.n_rb());
-  for (std::size_t m = 0; m < out.size(); ++m) out[m] = all[m + offset];
-  return out;
+  crs_values_into(cfg.cell_id(), ns, l % kSymbolsPerSlot,
+                  kMaxRb - cfg.n_rb(), out);
 }
 
 void map_crs(const CellConfig& cfg, std::size_t subframe_index,
              ResourceGrid& grid) {
+  std::array<cf32, 2 * kMaxRb> buf;
+  const std::span<cf32> values(buf.data(), 2 * cfg.n_rb());
   for (const std::size_t l : kCrsSymbolIndices) {
-    const auto positions = crs_subcarriers(cfg, l);
-    const cvec values = crs_values_for_symbol(cfg, subframe_index, l);
-    assert(positions.size() == values.size());
-    for (std::size_t m = 0; m < positions.size(); ++m) {
-      grid.at(l, positions[m]) = values[m];
-      grid.type_at(l, positions[m]) = ReType::kCrs;
+    crs_values_for_symbol_into(cfg, subframe_index, l, values);
+    const std::size_t first = crs_first_subcarrier(cfg, l);
+    for (std::size_t m = 0; m < values.size(); ++m) {
+      grid.at(l, 6 * m + first) = values[m];
+      grid.type_at(l, 6 * m + first) = ReType::kCrs;
     }
   }
 }

@@ -38,14 +38,17 @@ void map_crs(const CellConfig& cfg, std::size_t subframe_index,
              ResourceGrid& grid);
 
 /// Subcarrier indices of the CRS in subframe-symbol `l` (l must be one of
-/// kCrsSymbolIndices).
+/// kCrsSymbolIndices): crs_first_subcarrier(cfg, l) and every 6th after
+/// it, 2 per resource block.
 std::vector<std::size_t> crs_subcarriers(const CellConfig& cfg,
                                          std::size_t l);
+std::size_t crs_first_subcarrier(const CellConfig& cfg, std::size_t l);
 
 /// CRS values (in subcarrier order matching crs_subcarriers) for subframe
-/// symbol `l` of subframe `subframe_index`.
-// lint-ok: into — memoized per (subframe, symbol) by the callers
-dsp::cvec crs_values_for_symbol(const CellConfig& cfg,
-                                std::size_t subframe_index, std::size_t l);
+/// symbol `l` of subframe `subframe_index`, written into `out` of exactly
+/// 2 * cfg.n_rb() elements.
+void crs_values_for_symbol_into(const CellConfig& cfg,
+                                std::size_t subframe_index, std::size_t l,
+                                std::span<dsp::cf32> out);
 
 }  // namespace lscatter::lte

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "lte/sequences.hpp"
 #include "lte/signal_map.hpp"
 #include "lte/transport.hpp"
 
@@ -19,57 +20,70 @@ ResourceGrid UeReceiver::demodulate_grid(
   return demod_.demodulate(samples);
 }
 
+void UeReceiver::demodulate_grid_into(std::span<const cf32> samples,
+                                      ResourceGrid& grid) const {
+  demod_.demodulate_into(samples, grid);
+}
+
 ChannelEstimate UeReceiver::estimate_channel(
     const ResourceGrid& rx_grid, std::size_t subframe_index) const {
-  const std::size_t n_sc = cfg_.n_subcarriers();
-
-  // Accumulate LS estimates (rx * conj(tx) / |tx|^2) per subcarrier.
-  std::vector<cf32> acc(n_sc, cf32{});
-  std::vector<int> count(n_sc, 0);
-  for (const std::size_t l : kCrsSymbolIndices) {
-    const auto positions = crs_subcarriers(cfg_, l);
-    const cvec values = crs_values_for_symbol(cfg_, subframe_index, l);
-    for (std::size_t m = 0; m < positions.size(); ++m) {
-      const std::size_t k = positions[m];
-      const cf32 tx = values[m];
-      const float p = std::norm(tx);
-      if (p <= 0.0f) continue;
-      acc[k] += rx_grid.at(l, k) * std::conj(tx) / p;
-      count[k]++;
-    }
-  }
-
-  // Collect the pilot subcarriers in order and linearly interpolate.
-  std::vector<std::size_t> pk;
-  cvec pv;
-  for (std::size_t k = 0; k < n_sc; ++k) {
-    if (count[k] > 0) {
-      pk.push_back(k);
-      pv.push_back(acc[k] / static_cast<float>(count[k]));
-    }
-  }
   ChannelEstimate est;
-  est.h.assign(n_sc, cf32{1.0f, 0.0f});
-  if (pk.empty()) return est;
+  estimate_channel_into(rx_grid, subframe_index, est);
+  return est;
+}
 
+void UeReceiver::estimate_channel_into(const ResourceGrid& rx_grid,
+                                       std::size_t subframe_index,
+                                       ChannelEstimate& est) const {
+  const std::size_t n_sc = cfg_.n_subcarriers();
+  const std::size_t n_crs = 2 * cfg_.n_rb();
+
+  // CRS symbols 0/7 and 4/11 share their subcarriers (v = 0 and v = 3), so
+  // the pilots sit every 3 subcarriers from `first`, two LS estimates
+  // (rx * conj(tx) / |tx|^2) each, accumulated in symbol order.
+  std::array<std::array<cf32, 2 * kMaxRb>, kCrsSymbolIndices.size()> tx;
+  for (std::size_t s = 0; s < kCrsSymbolIndices.size(); ++s) {
+    crs_values_for_symbol_into(cfg_, subframe_index, kCrsSymbolIndices[s],
+                               std::span<cf32>(tx[s].data(), n_crs));
+  }
+  const std::size_t first = std::min(crs_first_subcarrier(cfg_, 0),
+                                     crs_first_subcarrier(cfg_, 4));
+  const std::size_t n_pilots = n_sc / 3;
+  std::array<cf32, 2 * 2 * kMaxRb> pv;
+  for (std::size_t j = 0; j < n_pilots; ++j) {
+    const std::size_t k = first + 3 * j;
+    // Symbol slots 0, 2 (l = 0, 7) or 1, 3 (l = 4, 11) in kCrsSymbolIndices.
+    const std::size_t s0 = k % 6 == crs_first_subcarrier(cfg_, 0) ? 0 : 1;
+    cf32 acc{};
+    for (const std::size_t s : {s0, s0 + 2}) {
+      const cf32 t = tx[s][k / 6];
+      acc += rx_grid.at(kCrsSymbolIndices[s], k) * std::conj(t) /
+             std::norm(t);
+    }
+    pv[j] = acc / 2.0f;
+  }
+
+  // Linear interpolation between pilots, flat beyond the outermost ones.
+  est.h.assign(n_sc, cf32{1.0f, 0.0f});
+  const std::size_t k_front = first;
+  const std::size_t k_back = first + 3 * (n_pilots - 1);
   std::size_t seg = 0;
   for (std::size_t k = 0; k < n_sc; ++k) {
-    if (k <= pk.front()) {
-      est.h[k] = pv.front();
+    if (k <= k_front) {
+      est.h[k] = pv[0];
       continue;
     }
-    if (k >= pk.back()) {
-      est.h[k] = pv.back();
+    if (k >= k_back) {
+      est.h[k] = pv[n_pilots - 1];
       continue;
     }
-    while (seg + 1 < pk.size() && pk[seg + 1] < k) ++seg;
-    const std::size_t k0 = pk[seg];
-    const std::size_t k1 = pk[seg + 1];
+    while (seg + 1 < n_pilots && first + 3 * (seg + 1) < k) ++seg;
+    const std::size_t k0 = first + 3 * seg;
+    const std::size_t k1 = k0 + 3;
     const float t = static_cast<float>(k - k0) /
                     static_cast<float>(k1 - k0);
     est.h[k] = pv[seg] * (1.0f - t) + pv[seg + 1] * t;
   }
-  return est;
 }
 
 SubframeRxResult UeReceiver::receive_subframe(

@@ -43,10 +43,20 @@ class UeReceiver {
   /// boundary).
   ResourceGrid demodulate_grid(std::span<const dsp::cf32> samples) const;
 
+  /// Same, into a caller-owned grid built for the same CellConfig.
+  void demodulate_grid_into(std::span<const dsp::cf32> samples,
+                            ResourceGrid& grid) const;
+
   /// Least-squares CRS channel estimate, linearly interpolated across
   /// frequency, averaged over the subframe's four CRS symbols.
   ChannelEstimate estimate_channel(const ResourceGrid& rx_grid,
                                    std::size_t subframe_index) const;
+
+  /// Same, into `est` (its storage is reused; no allocation once it has
+  /// held one estimate for this cell).
+  void estimate_channel_into(const ResourceGrid& rx_grid,
+                             std::size_t subframe_index,
+                             ChannelEstimate& est) const;
 
   /// Full receive chain for one subframe.
   SubframeRxResult receive_subframe(std::span<const dsp::cf32> samples,

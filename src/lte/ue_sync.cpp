@@ -19,7 +19,7 @@ using dsp::cvec;
 namespace {
 
 // Frequency-domain sequence -> time-domain useful symbol at the cell rate.
-cvec sync_replica(const CellConfig& cfg, const cvec& d) {
+cvec sync_replica(const CellConfig& cfg, std::span<const cf32> d) {
   const std::size_t k = cfg.fft_size();
   const std::size_t n_sc = cfg.n_subcarriers();
   const std::size_t first = sync_band_first_subcarrier(cfg);
@@ -114,7 +114,7 @@ std::optional<CellSearchResult> CellSearcher::search(
       samples.begin() +
           static_cast<std::ptrdiff_t>(best.pss_useful_start + k));
   pss_bins = dsp::fft(pss_bins);
-  const cvec pss_tx = pss_sequence(best.n_id_2);
+  const auto pss_tx = pss_sequence(best.n_id_2);
   cvec equalized(kSyncSubcarriers);
   for (std::size_t n = 0; n < kSyncSubcarriers; ++n) {
     const cf32 h = pss_bins[subcarrier_to_bin(first + n,
@@ -128,7 +128,7 @@ std::optional<CellSearchResult> CellSearcher::search(
   bool best_sf5 = false;
   for (std::uint16_t id1 = 0; id1 < 168; ++id1) {
     for (const bool sf5 : {false, true}) {
-      const cvec cand = sss_sequence(id1, best.n_id_2, sf5);
+      const auto cand = sss_sequence(id1, best.n_id_2, sf5);
       const cf32 corr = dsp::inner_product(equalized, cand);
       const float m = std::abs(corr);
       if (m > best_sss) {

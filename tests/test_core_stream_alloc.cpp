@@ -1,14 +1,17 @@
 // Steady-state zero-allocation enforcement for the streaming decode hot
-// path (DESIGN.md §15). This binary installs the counting operator-new
-// hook from obs/alloc_probe.hpp (one TU only!) and proves that after a
-// warmup pass, feeding IQ through StreamingReceiver — and pushing/popping
-// through StreamRing — performs exactly zero heap allocations.
+// path (DESIGN.md §10, §15). This binary installs the counting
+// operator-new hook from obs/alloc_probe.hpp (one TU only!) and proves
+// that after a warmup pass, feeding IQ through StreamingReceiver, pushing/
+// popping through StreamRing, and rebuilding the blind ambient with
+// AmbientReconstructor::reconstruct_blind_into perform exactly zero heap
+// allocations.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
 
+#include "core/ambient_reconstructor.hpp"
 #include "core/framing.hpp"
 #include "core/stream_ring.hpp"
 #include "core/streaming_receiver.hpp"
@@ -217,6 +220,64 @@ TEST(StreamAlloc, NotifyGapKeepsSteadyStateAllocationFree) {
   }
   EXPECT_EQ(obs::alloc_probe_count() - before, 0u);
   EXPECT_EQ(ue.gaps_notified(), 2u);
+}
+
+// One warm call sizes the reconstructor's working set (and the thread's
+// FFT scratch and obs registrations); after it, plain, sync and PBCH
+// subframes rebuild into the caller's buffer without touching the heap,
+// and the allocating wrapper makes exactly one allocation: its result.
+void expect_blind_rebuild_allocates_nothing(lte::Bandwidth bandwidth) {
+  lte::Enodeb::Config ecfg;
+  ecfg.cell.bandwidth = bandwidth;
+  ecfg.seed = 31;
+  lte::Enodeb enb(ecfg);
+  std::vector<lte::SubframeTx> txs;
+  for (std::size_t sf = 0; sf <= 10; ++sf) txs.push_back(enb.next_subframe());
+
+  core::AmbientReconstructor rec(ecfg.cell);
+  cvec out(ecfg.cell.samples_per_subframe());
+  ASSERT_TRUE(rec.reconstruct_blind_into(txs[1].samples, 1,
+                                         ecfg.enable_pbch, ecfg.sync_boost_db,
+                                         out));
+  // Plain, sync, PBCH (SFN 0) and PBCH (SFN 1) subframes.
+  for (const std::size_t sf : {2u, 5u, 0u, 10u}) {
+    auto before = obs::alloc_probe_count();
+    const auto n = rec.reconstruct_blind_into(
+        txs[sf].samples, sf, ecfg.enable_pbch, ecfg.sync_boost_db, out);
+    auto delta = obs::alloc_probe_count() - before;
+    ASSERT_TRUE(n.has_value()) << "sf " << sf;
+    EXPECT_EQ(delta, 0u) << lte::to_string(bandwidth) << " sf " << sf
+                         << ": reconstruct_blind_into allocated " << delta
+                         << " time(s)";
+
+    before = obs::alloc_probe_count();
+    const auto rebuilt = rec.reconstruct_blind(
+        txs[sf].samples, sf, ecfg.enable_pbch, ecfg.sync_boost_db);
+    delta = obs::alloc_probe_count() - before;
+    ASSERT_TRUE(rebuilt.has_value()) << "sf " << sf;
+    EXPECT_EQ(delta, 1u) << lte::to_string(bandwidth) << " sf " << sf
+                         << ": reconstruct_blind allocated " << delta
+                         << " time(s)";
+  }
+}
+
+TEST(StreamAlloc, BlindRebuildAllocatesNothingAfterOneCall) {
+  expect_blind_rebuild_allocates_nothing(lte::Bandwidth::kMHz1_4);
+}
+
+TEST(StreamAlloc, BlindRebuildAllocatesNothingAfterOneCallAt20MHz) {
+  expect_blind_rebuild_allocates_nothing(lte::Bandwidth::kMHz20);
+}
+
+TEST(StreamAlloc, ConstructingAReconstructorAllocatesNothing) {
+  // LinkSimulator builds one per drop even when the genie ambient never
+  // calls it, so the working set waits for the first call.
+  lte::CellConfig cell;
+  cell.bandwidth = lte::Bandwidth::kMHz20;
+  const core::AmbientReconstructor warm(cell);  // warms the FFT plan cache
+  const auto before = obs::alloc_probe_count();
+  const core::AmbientReconstructor rec(cell);
+  EXPECT_EQ(obs::alloc_probe_count() - before, 0u);
 }
 
 }  // namespace

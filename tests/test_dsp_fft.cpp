@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dsp/fft.hpp"
 #include "dsp/rng.hpp"
+#include "dsp/simd.hpp"
 
 namespace {
 
@@ -218,6 +220,53 @@ TEST(Fft, WorkspaceBytesAreAccountedAndReleased) {
   }
   const auto after = lscatter::dsp::fft_runtime_stats();
   EXPECT_EQ(after.workspace_bytes, before.workspace_bytes);
+}
+
+// The cf32 transforms gather in bit-reversed order while they widen to
+// cf64; the cf64 transforms permute in place first (Bluestein: inside
+// its convolution). Both must produce the same bits, on every tier.
+TEST(Fft, Cf32TransformsEqualWidenedCf64TransformsOnEveryTier) {
+  using lscatter::dsp::cf64;
+  using lscatter::dsp::SimdTier;
+  const SimdTier prev = lscatter::dsp::simd_tier();
+  for (const SimdTier tier :
+       {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
+    if (!lscatter::dsp::simd_tier_supported(tier)) continue;
+    ASSERT_EQ(lscatter::dsp::set_simd_tier(tier), tier);
+    for (const std::size_t n : {128, 256, 512, 1024, 1536, 2048}) {
+      const FftPlan& plan = lscatter::dsp::cached_fft_plan(n);
+      Rng rng(n + 7);
+      cvec x(n);
+      for (auto& v : x) v = rng.complex_normal();
+      for (const bool invert : {false, true}) {
+        cvec narrow(x);
+        if (invert) {
+          plan.inverse_inplace(narrow);
+        } else {
+          plan.forward_inplace(narrow);
+        }
+        std::vector<cf64> wide(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          wide[i] = cf64{x[i].real(), x[i].imag()};
+        }
+        if (invert) {
+          plan.inverse_inplace64(wide);
+        } else {
+          plan.forward_inplace64(wide);
+        }
+        cvec back(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          back[i] = cf32{static_cast<float>(wide[i].real()),
+                         static_cast<float>(wide[i].imag())};
+        }
+        EXPECT_EQ(std::memcmp(narrow.data(), back.data(), n * sizeof(cf32)),
+                  0)
+            << "n=" << n << " invert=" << invert
+            << " tier=" << lscatter::dsp::to_string(tier);
+      }
+    }
+  }
+  lscatter::dsp::set_simd_tier(prev);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/contracts.hpp"
 #include "dsp/rng.hpp"
 #include "lte/qam.hpp"
 
@@ -103,5 +104,34 @@ TEST(Qam, EvmTracksNoisePower) {
   for (auto& v : noisy) v += rng.complex_normal(0.01);
   EXPECT_NEAR(lte::evm_rms(noisy, ref), 0.1, 0.01);  // sqrt(0.01)
 }
+
+#if LSCATTER_CHECKS_ENABLED
+TEST(Qam, MismatchedSpansViolateTheContract) {
+  // Checked in release builds too, not just by asserts: callers slice
+  // whole OFDM symbols through these, and a short `bits` span would be
+  // read (or written) past its end.
+  core::contracts::ScopedFailureMode guard(
+      core::contracts::FailureMode::kThrow);
+  std::vector<std::uint8_t> bits(12, 0);
+  std::vector<cf32> syms(4);
+  const std::span<std::uint8_t> all(bits);
+  EXPECT_THROW(lte::qam_modulate_into(all.first(6), Modulation::kQpsk, syms),
+               core::ContractViolation);
+  EXPECT_THROW(lte::qam_modulate_into(all, Modulation::kQam16, syms),
+               core::ContractViolation);
+  EXPECT_THROW(lte::qam_modulate_into(all.first(7), Modulation::kQpsk,
+                                      std::span(syms).first(3)),
+               core::ContractViolation);
+  EXPECT_THROW(lte::qam_demodulate_into(syms, Modulation::kQam64, all),
+               core::ContractViolation);
+  EXPECT_THROW(lte::qam_demodulate_into(std::span(syms).first(3),
+                                        Modulation::kQam16, all.first(8)),
+               core::ContractViolation);
+  EXPECT_NO_THROW(lte::qam_modulate_into(all.first(8), Modulation::kQpsk,
+                                         syms));
+  EXPECT_NO_THROW(lte::qam_demodulate_into(std::span(syms).first(2),
+                                           Modulation::kQam64, all));
+}
+#endif
 
 }  // namespace
