@@ -50,20 +50,47 @@ inline bool bench_registry_enabled() {
   return env != nullptr && env[0] != '\0';
 }
 
+// ---- command-line flags ---------------------------------------------------
+// The one flag parser every bench uses, after ns-3's CommandLine: each
+// flag is looked up by name with its default next to it, and arguments
+// no lookup asks for are left alone. The last occurrence of a flag wins.
+
+/// Text after `--name=` (or "" for a bare `--name`), else nullptr.
+inline const char* flag_text(int argc, char** argv, const char* name) {
+  const std::size_t len = std::strlen(name);
+  const char* text = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], name, len) != 0) continue;
+    if (argv[i][len] == '=') text = argv[i] + len + 1;
+    if (argv[i][len] == '\0') text = argv[i] + len;
+  }
+  return text;
+}
+
+/// Integer flag `--name=N`; `fallback` when it is absent, negative or
+/// below `min`.
+inline std::size_t flag_count(int argc, char** argv, const char* name,
+                              std::size_t fallback, std::size_t min = 1) {
+  const char* text = flag_text(argc, argv, name);
+  if (text == nullptr || text[0] == '-') return fallback;
+  const unsigned long long v = std::strtoull(text, nullptr, 10);
+  return v >= min ? static_cast<std::size_t>(v) : fallback;
+}
+
+/// Real-valued flag `--name=X`; `fallback` when it is absent.
+inline double flag_real(int argc, char** argv, const char* name,
+                        double fallback) {
+  const char* text = flag_text(argc, argv, name);
+  return text != nullptr ? std::strtod(text, nullptr) : fallback;
+}
+
 /// Parse `--threads=N` and `--registry[=PATH]` (the flags every figure
 /// bench takes) and print the resolved worker count so runs are
 /// self-describing.
 inline void init_threads(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const long v = std::strtol(argv[i] + 10, nullptr, 10);
-      if (v > 0) bench_threads() = static_cast<std::size_t>(v);
-    } else if (std::strncmp(argv[i], "--registry=", 11) == 0 &&
-               argv[i][11] != '\0') {
-      bench_registry_flag() = argv[i] + 11;
-    } else if (std::strcmp(argv[i], "--registry") == 0) {
-      bench_registry_flag() = obs::kDefaultRegistryPath;
-    }
+  bench_threads() = flag_count(argc, argv, "--threads", bench_threads());
+  if (const char* path = flag_text(argc, argv, "--registry")) {
+    bench_registry_flag() = path[0] != '\0' ? path : obs::kDefaultRegistryPath;
   }
   std::printf("threads=%zu (results are thread-count independent)\n",
               core::resolve_threads(bench_threads()));

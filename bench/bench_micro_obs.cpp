@@ -14,8 +14,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -25,18 +23,6 @@
 #include "obs/span.hpp"
 
 namespace {
-
-std::size_t flag_value(int argc, char** argv, const char* name,
-                       std::size_t fallback) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      const long long v = std::strtoll(argv[i] + len + 1, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-  }
-  return fallback;
-}
 
 // One timed pass: `threads` workers each hammer `hit` iters times.
 // Returns wall nanoseconds per increment (per thread — contention shows
@@ -66,7 +52,7 @@ int main(int argc, char** argv) {
   benchutil::print_header(
       "Micro: obs counter contention, shared atomic vs thread-sharded",
       "DESIGN.md §12 (not a paper figure)");
-  const std::size_t iters = flag_value(argc, argv, "--iters", 2'000'000);
+  const std::size_t iters = benchutil::flag_count(argc, argv, "--iters", 2'000'000);
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("%zu increments per thread per pass, best of 3, "
               "%u hardware threads\n\n",

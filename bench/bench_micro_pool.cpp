@@ -11,8 +11,6 @@
 // Usage: bench_micro_pool [--drops=N] [--subframes=N]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,29 +20,14 @@
 #include "obs/obs.hpp"
 #include "obs/span.hpp"
 
-namespace {
-
-std::size_t flag_value(int argc, char** argv, const char* name,
-                       std::size_t fallback) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      const long v = std::strtol(argv[i] + len + 1, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace lscatter;
   benchutil::print_header("Micro: sim-pool serial vs parallel drop sweep",
                           "DESIGN.md §9 (not a paper figure)");
   const std::uint64_t seed = 4242;
-  const std::size_t drops = flag_value(argc, argv, "--drops", 8);
-  const std::size_t subframes = flag_value(argc, argv, "--subframes", 6);
+  const std::size_t drops = benchutil::flag_count(argc, argv, "--drops", 8);
+  const std::size_t subframes =
+      benchutil::flag_count(argc, argv, "--subframes", 6);
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("seed=%llu, %zu drops x %zu subframes, smart-home 5 MHz, "
               "%u hardware threads\n\n",

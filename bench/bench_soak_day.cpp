@@ -30,7 +30,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -158,27 +157,18 @@ int main(int argc, char** argv) {
       "DESIGN.md §15 (bounded-latency always-on receiver)");
   benchutil::init_threads(argc, argv);
 
-  std::size_t hours = 24;
-  std::size_t sph = 100;       // subframes (= ms of IQ) per simulated hour
-  std::size_t carriers = 2;    // smart-home + mall
-  std::size_t ring_chunks = 64;
-  double min_realtime = 20.0;  // 0 disables the gate (sanitizer lanes)
-  std::uint64_t seed = 2020;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--hours=", 8) == 0) {
-      hours = std::strtoull(argv[i] + 8, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--sph=", 6) == 0) {
-      sph = std::strtoull(argv[i] + 6, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--carriers=", 11) == 0) {
-      carriers = std::strtoull(argv[i] + 11, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--ring-chunks=", 14) == 0) {
-      ring_chunks = std::strtoull(argv[i] + 14, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--min-realtime=", 15) == 0) {
-      min_realtime = std::strtod(argv[i] + 15, nullptr);
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    }
-  }
+  using benchutil::flag_count;
+  std::size_t hours = flag_count(argc, argv, "--hours", 24, 0);
+  // Subframes (= ms of IQ) per simulated hour.
+  std::size_t sph = flag_count(argc, argv, "--sph", 100, 0);
+  // Default: smart-home + mall.
+  std::size_t carriers = flag_count(argc, argv, "--carriers", 2, 0);
+  const std::size_t ring_chunks =
+      flag_count(argc, argv, "--ring-chunks", 64, 0);
+  // 0 disables the gate (sanitizer lanes).
+  const double min_realtime =
+      benchutil::flag_real(argc, argv, "--min-realtime", 20.0);
+  const std::uint64_t seed = flag_count(argc, argv, "--seed", 2020, 0);
   if (carriers < 1) carriers = 1;
   if (sph < 1) sph = 1;
   // Warmup must visit every subframe phase mod 10: the per-phase packet

@@ -4,8 +4,9 @@
 # smoke check, so an accidentally renamed/dropped metric fails here),
 # then rebuilt under AddressSanitizer + UndefinedBehaviorSanitizer
 # (-DLSCATTER_SANITIZE=address,undefined), and finally the span-sink and
-# sim-pool stress tests alone under ThreadSanitizer
-# (-DLSCATTER_SANITIZE=thread; TSan and ASan cannot share a build).
+# sim-pool stress tests plus the lock-order canary alone under
+# ThreadSanitizer (-DLSCATTER_SANITIZE=thread; TSan and ASan cannot share
+# a build).
 # ctest runs with --timeout 300 (a hung pool must fail, not wedge the
 # pipeline) and writes a JUnit XML (ctest-junit.xml in the build dir)
 # that CI uploads on failure.
@@ -131,9 +132,12 @@ if [[ "$run_sanitized" == 1 ]]; then
   cmake -B "$repo/build-tsan" -S "$repo" -DLSCATTER_SANITIZE=thread
   cmake --build "$repo/build-tsan" -j "$jobs" \
     --target test_obs_stress test_core_pool_stress test_dsp_correlate \
-      test_core_stream_ring test_core_pipeline
+      test_core_stream_ring test_core_pipeline test_core_thread_safety
   "$repo/build-tsan/tests/test_obs_stress"
   "$repo/build-tsan/tests/test_core_pool_stress"
+  # Lock order is TSan's job (DESIGN.md §13): the canary proves its
+  # deadlock detector sees through the lscatter:: wrappers.
+  "$repo/build-tsan/tests/test_core_thread_safety"
   # test_dsp_correlate carries the 8-thread fast_correlate determinism
   # test: concurrent readers of the shared_mutex FFT plan cache.
   "$repo/build-tsan/tests/test_dsp_correlate"

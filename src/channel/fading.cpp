@@ -20,6 +20,13 @@ FadingProfile FadingProfile::flat() {
   return p;
 }
 
+cf32 draw_flat_hop(const FadingProfile& profile, dsp::Rng& rng) {
+  if (!profile.los) return rng.complex_normal(1.0);
+  const double k = profile.rician_k_db.linear();
+  return cf32{static_cast<float>(std::sqrt(k / (k + 1.0))), 0.0f} +
+         rng.complex_normal(1.0 / (k + 1.0));
+}
+
 TdlChannel::TdlChannel(const FadingProfile& profile, dsp::Hz sample_rate,
                        dsp::Rng& rng) {
   LSCATTER_EXPECT(profile.n_taps >= 1, "a TDL channel needs >= 1 tap");

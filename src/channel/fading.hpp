@@ -31,6 +31,11 @@ struct FadingProfile {
   static FadingProfile flat();
 };
 
+/// One flat (single-tap) hop at unit average power: Rician with the
+/// profile's K-factor when `profile.los`, Rayleigh otherwise. A
+/// backscatter link's double-hop fade is the product of two draws.
+dsp::cf32 draw_flat_hop(const FadingProfile& profile, dsp::Rng& rng);
+
 class TdlChannel {
  public:
   /// Draw one realization at the given sample rate. Average power gain is
@@ -45,7 +50,6 @@ class TdlChannel {
   /// Frequency response at `n_bins` uniformly spaced baseband bins.
   dsp::cvec frequency_response(std::size_t n_bins) const;
 
-  const std::vector<std::size_t>& tap_delays() const { return delays_; }
   const dsp::cvec& tap_gains() const { return gains_; }
 
   /// |h|^2 summed — should be ~1 in expectation.

@@ -71,17 +71,10 @@ void LinkSimulator::draw_drop(dsp::Rng& rng) {
   drop_.noise_dbm = dsp::from_mw(thermal_mw + leak_mw);
 
   // Double-hop small-scale fading: product of two independent unit-power
-  // scalars (flat within the band; see DESIGN.md). Each hop is Rician with
-  // the profile's K-factor (LoS) or Rayleigh (NLoS).
-  const auto draw_scalar = [&](bool los) -> cf32 {
-    if (!los) return rng.complex_normal(1.0);
-    const double k = env.fading.rician_k_db.linear();
-    const double los_amp = std::sqrt(k / (k + 1.0));
-    return cf32{static_cast<float>(los_amp), 0.0f} +
-           rng.complex_normal(1.0 / (k + 1.0));
-  };
-  drop_.fade = draw_scalar(env.fading.los) * draw_scalar(env.fading.los);
-  drop_.direct_fade = draw_scalar(env.fading.los);
+  // scalars (flat within the band; see DESIGN.md).
+  drop_.fade = channel::draw_flat_hop(env.fading, rng) *
+               channel::draw_flat_hop(env.fading, rng);
+  drop_.direct_fade = channel::draw_flat_hop(env.fading, rng);
 
   drop_.mean_snr_db = drop_.backscatter_rx_dbm - drop_.noise_dbm;
 }

@@ -58,15 +58,11 @@ MultiTagResult run_multi_tag(const MultiTagConfig& config,
         dsp::feet_to_meters(t.geometry.tag_ue_ft), f, rng);
     const dsp::Dbm rx_dbm =
         base.env.budget.backscatter_rx_dbm(pl1, pl2);
-    const double k = base.env.fading.rician_k_db.linear();
-    const auto fade = [&]() -> cf32 {
-      return cf32{static_cast<float>(std::sqrt(k / (k + 1.0))), 0.0f} +
-             rng.complex_normal(1.0 / (k + 1.0));
-    };
     const double phase = rng.uniform(0.0, dsp::kTwoPi);
     const double amp = channel::amplitude(rx_dbm);
     TagState st{tag::TagController(cell, base.schedule),
-                fade() * fade() *
+                channel::draw_flat_hop(base.env.fading, rng) *
+                    channel::draw_flat_hop(base.env.fading, rng) *
                     cf32{static_cast<float>(amp * std::cos(phase)),
                          static_cast<float>(amp * std::sin(phase))},
                 base.sync.sample_error_s(rng),
@@ -148,7 +144,8 @@ MultiTagResult run_multi_tag(const MultiTagConfig& config,
           st.controller.plan_subframe(sf, true, st.symbol_payloads);
       active.push_back(i);
 
-      const auto pattern = tag::expand_to_units(cell, plan);
+      const auto pattern = tag::expand_to_units(
+          cell, plan, base.schedule.window_offset_units);
       const auto err_units = static_cast<std::ptrdiff_t>(
           std::llround(st.sync_error_s * cell.sample_rate_hz()));
       const cvec scat =

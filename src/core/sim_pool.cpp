@@ -33,7 +33,7 @@ struct Slot {
 // window/drops/flow_base are set before the team starts and never
 // mutated after, so workers may read them unlocked.
 struct PoolState {
-  lscatter::Mutex mutex{"core.pool.state"};
+  lscatter::Mutex mutex;
   lscatter::CondVar window_open;   // workers: window advanced
   lscatter::CondVar result_ready;  // consumer: in-order slot landed
   std::size_t next_claim LSCATTER_GUARDED_BY(mutex) = 0;  // next handout

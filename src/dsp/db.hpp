@@ -18,9 +18,6 @@ inline double mw_to_dbm(double mw) { return 10.0 * std::log10(mw); }
 /// dBm -> power in mW.
 inline double dbm_to_mw(double dbm) { return std::pow(10.0, dbm / 10.0); }
 
-/// Amplitude ratio -> dB (20 log10).
-inline double amp_to_db(double ratio) { return 20.0 * std::log10(ratio); }
-
 /// dB -> amplitude ratio.
 inline double db_to_amp(double db) { return std::pow(10.0, db / 20.0); }
 

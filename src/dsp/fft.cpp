@@ -321,13 +321,12 @@ namespace {
 // state is concurrent shared-mode lookups; the first request for a new
 // size upgrades to exclusive by RELEASING the shared lock and
 // re-acquiring exclusive (never while still holding shared — an in-place
-// upgrade attempt is the textbook reader/reader deadlock, and the
-// lock-order validator would flag the same-thread re-acquisition). The
-// double-checked find under the exclusive lock covers the window between
+// upgrade attempt is the textbook reader/reader deadlock, which the
+// clang thread-safety lane rejects at compile time). The double-checked find under the exclusive lock covers the window between
 // the two acquisitions. Plans are immutable once constructed and never
 // destroyed, so references returned from under the lock stay valid.
 struct PlanCache {
-  lscatter::SharedMutex mutex{"dsp.fft.plan_cache"};
+  lscatter::SharedMutex mutex;
   std::unordered_map<std::size_t, std::unique_ptr<FftPlan>> plans
       LSCATTER_GUARDED_BY(mutex);
 };

@@ -24,11 +24,6 @@ double variance(const std::vector<double>& x) {
 
 double stddev(const std::vector<double>& x) { return std::sqrt(variance(x)); }
 
-double minimum(const std::vector<double>& x) {
-  assert(!x.empty());
-  return *std::min_element(x.begin(), x.end());
-}
-
 double maximum(const std::vector<double>& x) {
   assert(!x.empty());
   return *std::max_element(x.begin(), x.end());

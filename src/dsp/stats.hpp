@@ -14,7 +14,6 @@ namespace lscatter::dsp {
 double mean(const std::vector<double>& x);
 double variance(const std::vector<double>& x);  // population variance
 double stddev(const std::vector<double>& x);
-double minimum(const std::vector<double>& x);
 double maximum(const std::vector<double>& x);
 
 /// Linear-interpolated quantile of *already sorted* data, q in [0, 1]

@@ -32,13 +32,6 @@ cvec multiply(std::span<const cf32> a, std::span<const cf32> b) {
   return out;
 }
 
-cvec multiply_conj(std::span<const cf32> a, std::span<const cf32> b) {
-  assert(a.size() == b.size());
-  cvec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * std::conj(b[i]);
-  return out;
-}
-
 void scale(std::span<cf32> x, float s) {
   for (cf32& v : x) v *= s;
 }

@@ -31,7 +31,6 @@ inline constexpr double kThermalNoiseDbmHz = -174.0;
 inline constexpr double kFeetToMeters = 0.3048;
 
 inline double feet_to_meters(double feet) { return feet * kFeetToMeters; }
-inline double meters_to_feet(double m) { return m / kFeetToMeters; }
 
 /// Total energy of a complex vector: sum |x|^2.
 double energy(std::span<const cf32> x);
@@ -47,9 +46,6 @@ void normalize_power(std::span<cf32> x, double target_power = 1.0);
 
 /// Element-wise a .* b (sizes must match).
 cvec multiply(std::span<const cf32> a, std::span<const cf32> b);  // lint-ok: into — setup/test convenience, hot paths multiply in place
-
-/// Element-wise a .* conj(b) (sizes must match).
-cvec multiply_conj(std::span<const cf32> a, std::span<const cf32> b);  // lint-ok: into — setup/test convenience, hot paths multiply in place
 
 /// In-place scalar multiply.
 void scale(std::span<cf32> x, float s);

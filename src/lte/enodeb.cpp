@@ -17,29 +17,6 @@ Enodeb::Enodeb(const Config& config)
       modulator_(config.cell),
       rng_(config.seed, 0x9e3779b97f4a7c15ULL) {}
 
-std::size_t Enodeb::data_res_per_subframe(std::size_t subframe_index) const {
-  const CellConfig& cell = config_.cell;
-  const std::size_t n_sc = cell.n_subcarriers();
-
-  // CRS: 4 symbols x 2 per RB.
-  std::size_t crs = 4 * 2 * cell.n_rb();
-  std::size_t sync = 0;
-  if (is_sync_subframe(subframe_index)) {
-    // PSS + SSS occupy the central 6 RB (62 used + 10 guards) in 2 symbols.
-    sync = 2 * (kSyncSubcarriers + 10);
-  }
-  return kSymbolsPerSubframe * n_sc - crs - sync;
-}
-
-std::size_t Enodeb::payload_bits_per_subframe(
-    std::size_t subframe_index) const {
-  const std::size_t bits =
-      data_res_per_subframe(subframe_index) *
-      bits_per_symbol(config_.modulation);
-  assert(bits > kBlockCrcBits);
-  return info_bits(segment(bits));
-}
-
 SubframeTx Enodeb::make_subframe(std::size_t subframe_index) {
   LSCATTER_OBS_TIMER("lte.enodeb.subframe");
   LSCATTER_OBS_COUNTER_INC("lte.enodeb.subframes");

@@ -69,12 +69,6 @@ class Enodeb {
   const CellConfig& cell() const { return config_.cell; }
   const Config& config() const { return config_; }
 
-  /// Number of payload bits (before CRC-24A) a subframe carries.
-  std::size_t payload_bits_per_subframe(std::size_t subframe_index) const;
-
-  /// Number of kData REs in a subframe.
-  std::size_t data_res_per_subframe(std::size_t subframe_index) const;
-
  private:
   Config config_;
   OfdmModulator modulator_;

@@ -37,12 +37,6 @@ std::size_t ResourceGrid::subcarrier_to_bin(std::size_t subcarrier) const {
   return lte::subcarrier_to_bin(subcarrier, n_sc_, fft_size_);
 }
 
-cvec ResourceGrid::to_fft_bins(std::size_t l) const {
-  cvec bins(fft_size_, cf32{});
-  to_fft_bins_into(l, bins);
-  return bins;
-}
-
 // subcarrier_to_bin() as two contiguous runs: the lower half of the band
 // [0, half) lands on bins [K - half, K), the upper half on [1, n_sc - half
 // + 1). Everything between (DC and the guard band) stays empty.
@@ -59,18 +53,6 @@ void ResourceGrid::to_fft_bins_into(std::size_t l,
             bins.end() - static_cast<std::ptrdiff_t>(half), cf32{});
   std::copy(sym.begin(), sym.begin() + static_cast<std::ptrdiff_t>(half),
             bins.end() - static_cast<std::ptrdiff_t>(half));
-}
-
-void ResourceGrid::from_fft_bins(std::size_t l,
-                                 std::span<const cf32> bins) {
-  assert(bins.size() == fft_size_);
-  const std::size_t half = n_sc_ / 2;
-  auto sym = symbol(l);
-  std::copy(bins.end() - static_cast<std::ptrdiff_t>(half), bins.end(),
-            sym.begin());
-  std::copy(bins.begin() + 1,
-            bins.begin() + static_cast<std::ptrdiff_t>(n_sc_ - half + 1),
-            sym.begin() + static_cast<std::ptrdiff_t>(half));
 }
 
 }  // namespace lscatter::lte

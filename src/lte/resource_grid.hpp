@@ -75,16 +75,10 @@ class ResourceGrid {
   /// Member convenience wrapper for the free subcarrier_to_bin().
   std::size_t subcarrier_to_bin(std::size_t subcarrier) const;
 
-  /// Spread a frequency-domain symbol into a zero-padded FFT input of
-  /// length K.
-  dsp::cvec to_fft_bins(std::size_t l) const;
-
-  /// Same, into a caller buffer of exactly fft_size elements (zeroed and
-  /// filled in place; no allocation).
+  /// Spread a frequency-domain symbol into a caller buffer of exactly
+  /// fft_size elements: the zero-padded FFT input of length K (zeroed
+  /// and filled in place; no allocation).
   void to_fft_bins_into(std::size_t l, std::span<dsp::cf32> bins) const;
-
-  /// Gather from FFT output back into subcarrier order.
-  void from_fft_bins(std::size_t l, std::span<const dsp::cf32> bins);
 
  private:
   std::size_t n_sc_;

@@ -160,12 +160,6 @@ std::vector<std::uint8_t> gold_sequence(std::uint32_t c_init,
   return c;
 }
 
-cvec crs_values(std::uint16_t cell_id, std::size_t ns, std::size_t l) {
-  cvec r(2 * kMaxRb);
-  crs_values_into(cell_id, ns, l, 0, r);
-  return r;
-}
-
 void crs_values_into(std::uint16_t cell_id, std::size_t ns, std::size_t l,
                      std::size_t first, std::span<cf32> out) {
   assert(ns < 20);

@@ -42,12 +42,10 @@ inline constexpr std::size_t kMaxRb = 110;  // N_RB^max,DL
 /// port 0 (TS 36.211 §6.10.1.1): QPSK from the Gold sequence with
 ///   c_init = 2^10 (7(ns+1) + l + 1)(2 N_cell + 1) + 2 N_cell + 1
 /// (normal CP). `ns` is the slot number 0..19, `l` the symbol in the slot.
-/// Returns 2*kMaxRb values; the cell maps a centered window of them.
-dsp::cvec crs_values(std::uint16_t cell_id, std::size_t ns, std::size_t l);
-
-/// Values m = first .. first + out.size() - 1 of crs_values(), written
-/// into `out` without allocating; the Gold generator skips straight to
-/// value `first`. Requires first + out.size() <= 2*kMaxRb.
+/// The master set holds 2*kMaxRb values; the cell maps a centered window
+/// of them. Writes values m = first .. first + out.size() - 1 into `out`
+/// without allocating; the Gold generator skips straight to value
+/// `first`. Requires first + out.size() <= 2*kMaxRb.
 void crs_values_into(std::uint16_t cell_id, std::size_t ns, std::size_t l,
                      std::size_t first, std::span<dsp::cf32> out);
 

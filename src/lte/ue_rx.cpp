@@ -15,21 +15,9 @@ using dsp::cvec;
 
 UeReceiver::UeReceiver(const CellConfig& cfg) : cfg_(cfg), demod_(cfg) {}
 
-ResourceGrid UeReceiver::demodulate_grid(
-    std::span<const cf32> samples) const {
-  return demod_.demodulate(samples);
-}
-
 void UeReceiver::demodulate_grid_into(std::span<const cf32> samples,
                                       ResourceGrid& grid) const {
   demod_.demodulate_into(samples, grid);
-}
-
-ChannelEstimate UeReceiver::estimate_channel(
-    const ResourceGrid& rx_grid, std::size_t subframe_index) const {
-  ChannelEstimate est;
-  estimate_channel_into(rx_grid, subframe_index, est);
-  return est;
 }
 
 void UeReceiver::estimate_channel_into(const ResourceGrid& rx_grid,
@@ -90,8 +78,10 @@ SubframeRxResult UeReceiver::receive_subframe(
     std::span<const cf32> samples, const SubframeTx& truth,
     Modulation modulation) const {
   SubframeRxResult res;
-  const ResourceGrid rx = demodulate_grid(samples);
-  const ChannelEstimate est = estimate_channel(rx, truth.subframe_index);
+  ResourceGrid rx(cfg_);
+  demodulate_grid_into(samples, rx);
+  ChannelEstimate est;
+  estimate_channel_into(rx, truth.subframe_index, est);
 
   // Equalize and gather data REs in the same symbol-major order the eNodeB
   // used when mapping.

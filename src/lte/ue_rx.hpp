@@ -39,21 +39,15 @@ class UeReceiver {
  public:
   explicit UeReceiver(const CellConfig& cfg);
 
-  /// FFT the whole subframe into a grid (samples start at the subframe
-  /// boundary).
-  ResourceGrid demodulate_grid(std::span<const dsp::cf32> samples) const;
-
-  /// Same, into a caller-owned grid built for the same CellConfig.
+  /// FFT the whole subframe (samples start at the subframe boundary)
+  /// into a caller-owned grid built for the same CellConfig.
   void demodulate_grid_into(std::span<const dsp::cf32> samples,
                             ResourceGrid& grid) const;
 
   /// Least-squares CRS channel estimate, linearly interpolated across
-  /// frequency, averaged over the subframe's four CRS symbols.
-  ChannelEstimate estimate_channel(const ResourceGrid& rx_grid,
-                                   std::size_t subframe_index) const;
-
-  /// Same, into `est` (its storage is reused; no allocation once it has
-  /// held one estimate for this cell).
+  /// frequency, averaged over the subframe's four CRS symbols, into
+  /// `est` (its storage is reused; no allocation once it has held one
+  /// estimate for this cell).
   void estimate_channel_into(const ResourceGrid& rx_grid,
                              std::size_t subframe_index,
                              ChannelEstimate& est) const;

@@ -163,7 +163,7 @@ class Family {
   std::string name_;
   std::string label_key_;
   std::size_t max_cells_;
-  mutable lscatter::Mutex mutex_{"obs.family"};
+  mutable lscatter::Mutex mutex_;
   std::unordered_map<std::string, Metric*, Hash, Eq> cells_
       LSCATTER_GUARDED_BY(mutex_);
   // Rejected values already counted in obs.labels.dropped.

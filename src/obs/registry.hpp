@@ -178,7 +178,7 @@ class Registry {
  private:
   Registry() = default;
 
-  mutable lscatter::Mutex mutex_{"obs.registry"};
+  mutable lscatter::Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_
       LSCATTER_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_

@@ -231,7 +231,7 @@ namespace {
 // lane can reason about. It guards an IO critical section, not a data
 // member, hence the guarded-mutex waiver.
 lscatter::Mutex& append_mutex() {
-  static lscatter::Mutex m{"obs.run_registry.append"};  // lint-ok: guarded-mutex
+  static lscatter::Mutex m;  // lint-ok: guarded-mutex
   return m;
 }
 

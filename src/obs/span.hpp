@@ -65,7 +65,7 @@ class SpanSink {
  private:
   explicit SpanSink(std::size_t capacity) : ring_(capacity) {}
 
-  mutable lscatter::Mutex mutex_{"obs.span_sink"};
+  mutable lscatter::Mutex mutex_;
   std::vector<SpanEvent> ring_ LSCATTER_GUARDED_BY(mutex_);
   std::size_t head_ LSCATTER_GUARDED_BY(mutex_) = 0;   // next write slot
   std::size_t size_ LSCATTER_GUARDED_BY(mutex_) = 0;   // valid entries

@@ -30,7 +30,7 @@ using dsp::cvec;
 // One QAM decision per resource element, the blind layout from a separate
 // RE-type map, and a CRS channel estimator of its own: the straightforward
 // rebuild that AmbientReconstructor must match bit for bit. Built only on
-// the allocating public lte calls.
+// the allocating public lte calls and the full CRS master set.
 
 /// Rebuild the full RE-type map of a subframe from broadcast knowledge:
 /// cell identity + subframe index + decoded DCI (+ PBCH presence).
@@ -111,8 +111,9 @@ lte::ChannelEstimate oracle_estimate_channel(const lte::CellConfig& cfg,
     const std::size_t ns =
         2 * (subframe_index % lte::kSubframesPerFrame) +
         (l >= lte::kSymbolsPerSlot);
-    const cvec all = lte::crs_values(cfg.cell_id(), ns,
-                                     l % lte::kSymbolsPerSlot);
+    cvec all(2 * lte::kMaxRb);
+    lte::crs_values_into(cfg.cell_id(), ns, l % lte::kSymbolsPerSlot, 0,
+                         all);
     const std::size_t offset = lte::kMaxRb - cfg.n_rb();
     for (std::size_t m = 0; m < positions.size(); ++m) {
       const std::size_t k = positions[m];
@@ -170,9 +171,9 @@ cf32 oracle_decide(cf32 eq, lte::Modulation m) {
 core::ReconstructionResult oracle_reconstruct(
     const lte::CellConfig& cell, std::span<const cf32> rx_direct,
     const lte::SubframeTx& truth, lte::Modulation modulation) {
-  const lte::UeReceiver ue(cell);
   core::ReconstructionResult out;
-  const lte::ResourceGrid rx_grid = ue.demodulate_grid(rx_direct);
+  const lte::ResourceGrid rx_grid =
+      lte::OfdmDemodulator(cell).demodulate(rx_direct);
   const lte::ChannelEstimate est =
       oracle_estimate_channel(cell, rx_grid, truth.subframe_index);
   lte::ResourceGrid rebuilt(cell);
@@ -208,8 +209,8 @@ core::ReconstructionResult oracle_reconstruct(
 std::optional<core::ReconstructionResult> oracle_reconstruct_blind(
     const lte::CellConfig& cell, std::span<const cf32> rx_direct,
     std::size_t subframe_index, bool pbch_enabled, dsp::Db sync_boost_db) {
-  const lte::UeReceiver ue(cell);
-  const lte::ResourceGrid rx_grid = ue.demodulate_grid(rx_direct);
+  const lte::ResourceGrid rx_grid =
+      lte::OfdmDemodulator(cell).demodulate(rx_direct);
   const lte::ChannelEstimate est =
       oracle_estimate_channel(cell, rx_grid, subframe_index);
 

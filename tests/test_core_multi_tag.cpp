@@ -58,6 +58,26 @@ TEST(MultiTag, CollisionsShowCaptureEffect) {
   // delivers everything.
 }
 
+TEST(MultiTag, TagsModulateTheShiftedWindowTheDemodulatorReads) {
+  // A shifted modulation window moves the units on the tag and in the
+  // demodulator alike; a tag left at the centered placement is sliced
+  // 300 units off and decodes at chance.
+  core::MultiTagConfig cfg;
+  core::ScenarioOptions opt;
+  opt.seed = 71;
+  cfg.base = core::make_scenario(core::Scene::kSmartHome, opt);
+  cfg.base.env.pathloss.shadowing_sigma_db = dsp::Db{0.0};
+  cfg.base.schedule.window_offset_units = 300;
+  cfg.n_slots = 1;
+  cfg.tags.push_back({{3.0, 3.0, -1.0}, 0});
+  const auto res = core::run_multi_tag(cfg, 20);
+  ASSERT_EQ(res.per_tag.size(), 1u);
+  const core::LinkMetrics& m = res.per_tag[0].metrics;
+  EXPECT_EQ(m.packets_sent, 18u);
+  EXPECT_GT(2 * m.packets_ok, m.packets_sent);
+  EXPECT_LT(m.ber(), 1e-3);
+}
+
 TEST(MultiTag, FourSlotsScaleFairly) {
   core::MultiTagConfig cfg;
   core::ScenarioOptions opt;

@@ -1,27 +1,16 @@
-// Runtime lock-order validator tests (core/thread_safety.hpp, DESIGN.md
-// §13). The validator must catch an AB/BA order inversion and a
-// same-thread re-acquisition the first time they happen — without the
-// schedule ever actually deadlocking — and must stay silent on the
-// legitimate patterns the codebase uses (fft.cpp's sequential
-// shared-then-exclusive double-checked cache, condition-variable waits,
-// try_lock probing). Failures are made catchable with
-// ScopedFailureMode(kThrow), the same idiom as test_contracts.cpp.
+// Lock-order canary (DESIGN.md §13). The lscatter:: lock wrappers only
+// forward to the std primitives; lock order is checked by
+// ThreadSanitizer's deadlock detector. This test proves TSan still sees
+// through the wrappers: a death-test child locks two lscatter::Mutexes
+// AB then BA and must exit with TSan's report status (66) and a
+// lock-order-inversion report. Outside a TSan build it skips.
 
-#include <memory>
-#include <thread>
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
-#include "core/contracts.hpp"
 #include "core/thread_safety.hpp"
 
-// The multi-mutex tests below deliberately record both orders of a lock
-// pair; TSan's own deadlock detector flags that too (and, because
-// libstdc++'s std::mutex never calls pthread_mutex_destroy, TSan keeps
-// identifying destroyed test mutexes by their reused stack addresses,
-// manufacturing false cycles across tests). The validator IS a
-// lock-order detector, so running these probes under TSan is redundant —
-// gate them out there; the single-mutex tests still run.
 #if defined(__SANITIZE_THREAD__)
 #define LSCATTER_TEST_UNDER_TSAN 1
 #elif defined(__has_feature)
@@ -35,172 +24,33 @@
 
 namespace {
 
-using lscatter::core::ContractViolation;
-using lscatter::core::contracts::FailureMode;
-using lscatter::core::contracts::ScopedFailureMode;
-
-#if LSCATTER_CHECKS_ENABLED
-
-#if !LSCATTER_TEST_UNDER_TSAN
-
-// Anti-neutering probe: if a build silently compiled the validator out
-// (or someone stubbed the hooks), kEnabled flips or edges stop being
-// recorded, and this suite fails instead of green-washing.
-TEST(LockOrder, ValidatorIsCompiledIn) {
-  static_assert(lscatter::lock_order::kEnabled,
-                "lock-order validator must be active in checked builds");
-  lscatter::Mutex a("test.active.a");
-  lscatter::Mutex b("test.active.b");
-  const std::size_t before = lscatter::lock_order::edge_count();
+#if LSCATTER_TEST_UNDER_TSAN
+// Function-static, so each mutex keeps one address for the child's life:
+// TSan keys a mutex by its address.
+[[noreturn]] void lock_ab_then_ba() {
+  static lscatter::Mutex a;
+  static lscatter::Mutex b;
   {
-    lscatter::LockGuard la(a);
-    EXPECT_EQ(lscatter::lock_order::held_count(), 1u);
-    lscatter::LockGuard lb(b);
-    EXPECT_EQ(lscatter::lock_order::held_count(), 2u);
-    // The nested acquisition must have recorded an a -> b edge.
-    EXPECT_GT(lscatter::lock_order::edge_count(), before);
-  }
-  EXPECT_EQ(lscatter::lock_order::held_count(), 0u);
-}
-
-TEST(LockOrder, AbBaInversionThrows) {
-  ScopedFailureMode guard(FailureMode::kThrow);
-  lscatter::Mutex a("test.inv.a");
-  lscatter::Mutex b("test.inv.b");
-  {
-    // Establish the order a -> b.
     lscatter::LockGuard la(a);
     lscatter::LockGuard lb(b);
   }
-  // The opposite nesting closes the cycle: caught on acquisition, before
-  // any schedule could actually deadlock.
-  lscatter::LockGuard lb(b);
-  EXPECT_THROW(a.lock(), ContractViolation);
-  // The inversion fired before the underlying lock; a is still free.
-  EXPECT_EQ(lscatter::lock_order::held_count(), 1u);
-}
-
-TEST(LockOrder, InversionAcrossThreeMutexesThrows) {
-  ScopedFailureMode guard(FailureMode::kThrow);
-  lscatter::Mutex a("test.chain.a");
-  lscatter::Mutex b("test.chain.b");
-  lscatter::Mutex c("test.chain.c");
-  {
-    lscatter::LockGuard la(a);
-    lscatter::LockGuard lb(b);  // a -> b
-  }
   {
     lscatter::LockGuard lb(b);
-    lscatter::LockGuard lc(c);  // b -> c
-  }
-  // c -> a closes a transitive cycle (a -> b -> c -> a).
-  lscatter::LockGuard lc(c);
-  EXPECT_THROW(a.lock(), ContractViolation);
-}
-
-#endif  // !LSCATTER_TEST_UNDER_TSAN
-
-TEST(LockOrder, SelfDeadlockThrows) {
-  ScopedFailureMode guard(FailureMode::kThrow);
-  lscatter::Mutex m("test.self");
-  lscatter::LockGuard lock(m);
-  EXPECT_THROW(m.lock(), ContractViolation);
-}
-
-TEST(LockOrder, SharedSelfDeadlockThrows) {
-  ScopedFailureMode guard(FailureMode::kThrow);
-  // shared -> exclusive upgrade on the SAME thread while the shared lock
-  // is still held: a real deadlock on std::shared_mutex, caught here.
-  lscatter::SharedMutex m("test.upgrade");
-  lscatter::SharedLockGuard read(m);
-  EXPECT_THROW(m.lock(), ContractViolation);
-}
-
-// The fft.cpp plan-cache pattern: take a shared lock, MISS, release it,
-// then take the exclusive lock (upgrade-by-release, never in-place).
-// Sequential acquisitions of one mutex are not a cycle; the validator
-// must stay silent across repeats and interleavings with other locks.
-TEST(LockOrder, SharedThenExclusiveSequentialIsClean) {
-  ScopedFailureMode guard(FailureMode::kThrow);
-  lscatter::SharedMutex cache("test.cache");
-  for (int i = 0; i < 3; ++i) {
-    {
-      lscatter::SharedLockGuard read(cache);
-      EXPECT_EQ(lscatter::lock_order::held_count(), 1u);
-    }
-    {
-      lscatter::ExclusiveLockGuard write(cache);
-      EXPECT_EQ(lscatter::lock_order::held_count(), 1u);
-    }
-  }
-  EXPECT_EQ(lscatter::lock_order::held_count(), 0u);
-}
-
-#if !LSCATTER_TEST_UNDER_TSAN
-
-TEST(LockOrder, TryLockRecordsNoEdges) {
-  lscatter::Mutex a("test.try.a");
-  lscatter::Mutex b("test.try.b");
-  lscatter::LockGuard la(a);
-  const std::size_t before = lscatter::lock_order::edge_count();
-  // try_lock cannot block, hence cannot deadlock: no ordering edge.
-  ASSERT_TRUE(b.try_lock());
-  b.unlock();
-  EXPECT_EQ(lscatter::lock_order::edge_count(), before);
-}
-
-TEST(LockOrder, DestructionForgetsOrderHistory) {
-  ScopedFailureMode guard(FailureMode::kThrow);
-  lscatter::Mutex b("test.reuse.b");
-  const std::size_t before = lscatter::lock_order::edge_count();
-  {
-    lscatter::Mutex a("test.reuse.a");  // dies at scope end
     lscatter::LockGuard la(a);
-    lscatter::LockGuard lb(b);  // a -> b recorded
   }
-  // ~Mutex dropped every edge touching a, so a recycled stack address
-  // (per-sweep PoolState) never inherits stale ordering history.
-  EXPECT_EQ(lscatter::lock_order::edge_count(), before);
+  std::exit(0);  // TSan turns a clean exit into 66 once it has reported
 }
+#endif
 
-#endif  // !LSCATTER_TEST_UNDER_TSAN
-
-// The held stack must stay exact across a condition-variable wait:
-// CondVar is built on condition_variable_any over the wrapper UniqueLock
-// precisely so the release/re-acquire inside wait() goes through the
-// validator hooks.
-TEST(LockOrder, CondVarWaitKeepsHeldStackExact) {
-  lscatter::Mutex m("test.cv");
-  lscatter::CondVar cv;
-  bool ready = false;
-  std::thread producer([&] {
-    {
-      lscatter::LockGuard lock(m);
-      ready = true;
-    }
-    cv.notify_one();
-  });
-  {
-    lscatter::UniqueLock lock(m);
-    EXPECT_EQ(lscatter::lock_order::held_count(), 1u);
-    while (!ready) cv.wait(lock);
-    EXPECT_EQ(lscatter::lock_order::held_count(), 1u);
-  }
-  EXPECT_EQ(lscatter::lock_order::held_count(), 0u);
-  producer.join();
+TEST(LockOrderCanary, TsanReportsAnAbBaInversionOnLscatterMutex) {
+#if LSCATTER_TEST_UNDER_TSAN
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(lock_ab_then_ba(), ::testing::ExitedWithCode(66),
+              "lock-order-inversion");
+#else
+  GTEST_SKIP() << "lock order is checked by TSan: build with "
+                  "-DLSCATTER_SANITIZE=thread";
+#endif
 }
-
-#else  // !LSCATTER_CHECKS_ENABLED
-
-TEST(LockOrder, ValidatorCompiledOut) {
-  // -DLSCATTER_CHECKS=OFF: the wrappers must degrade to plain locks.
-  EXPECT_FALSE(lscatter::lock_order::kEnabled);
-  EXPECT_EQ(lscatter::lock_order::held_count(), 0u);
-  lscatter::Mutex m;
-  lscatter::LockGuard lock(m);
-  EXPECT_EQ(lscatter::lock_order::held_count(), 0u);
-}
-
-#endif  // LSCATTER_CHECKS_ENABLED
 
 }  // namespace

@@ -106,8 +106,10 @@ TEST(UeReceiver, EstimatedChannelMatchesAppliedScalar) {
   auto rx = tx.samples;
   const cf32 h{0.3f, 0.4f};
   for (auto& v : rx) v *= h;
-  const auto grid = ue.demodulate_grid(rx);
-  const auto est = ue.estimate_channel(grid, 1);
+  lte::ResourceGrid grid(cfg.cell);
+  ue.demodulate_grid_into(rx, grid);
+  lte::ChannelEstimate est;
+  ue.estimate_channel_into(grid, 1, est);
   for (std::size_t k = 0; k < est.h.size(); k += 7) {
     EXPECT_NEAR(est.h[k].real(), h.real(), 0.02);
     EXPECT_NEAR(est.h[k].imag(), h.imag(), 0.02);

@@ -125,9 +125,11 @@ TEST(Acquisition, FullChainFindsCellTimingAndBandwidth) {
 
   // Frame start is 0 for this stream; demodulate subframe 0 and decode.
   lte::UeReceiver ue(ecfg.cell);
-  const auto grid = ue.demodulate_grid(
-      std::span<const cf32>(stream).subspan(found->frame_start));
-  const auto est = ue.estimate_channel(grid, 0);
+  lte::ResourceGrid grid(ecfg.cell);
+  ue.demodulate_grid_into(
+      std::span<const cf32>(stream).subspan(found->frame_start), grid);
+  lte::ChannelEstimate est;
+  ue.estimate_channel_into(grid, 0, est);
   lte::ResourceGrid equalized = grid;
   for (const std::size_t l : lte::kPbchSymbolIndices) {
     for (const std::size_t k : lte::pbch_subcarriers(ecfg.cell, l)) {

@@ -162,10 +162,9 @@ TEST(ObsStress, ShardedCellsAreDistinctPerThread) {
 // counter_value() walks the registry under its mutex while writer threads
 // hammer their sharded cells and keep registering new family cells —
 // which nests the registry mutex under the family mutex (the declared
-// family -> registry lock rank, DESIGN.md §13). Run under TSan in the
-// nightly deep-tsan lane (--gtest_filter='ObsStress.Sharded*'); in the
-// default build the lock-order validator checks the rank stays acyclic
-// on every nested acquisition.
+// family -> registry lock rank, DESIGN.md §13). Under TSan (the CI
+// sanitize job and the nightly deep-tsan lane) its deadlock detector
+// checks the rank stays acyclic on every nested acquisition.
 TEST(ObsStress, ShardedIncrementsRaceRegistryReadsAndFamilyCells) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kItersPerThread = 20000;

@@ -24,9 +24,8 @@
 //   raw-mutex  no raw std synchronization primitives (std::mutex,
 //              std::shared_mutex, std::lock_guard, ...) in src/ outside
 //              core/thread_safety.hpp: every lock must go through the
-//              annotated lscatter:: wrappers so it participates in both
-//              the clang thread-safety analysis and the runtime
-//              lock-order validator (DESIGN.md §13).
+//              annotated lscatter:: wrappers so the clang
+//              thread-safety analysis sees it (DESIGN.md §13).
 //   guarded-mutex  a lscatter::Mutex / SharedMutex member or field needs
 //              at least one sibling LSCATTER_GUARDED_BY(<name>) in the
 //              same file — a mutex protecting nothing the analysis can
@@ -319,10 +318,9 @@ void check_obs_loop(const fs::path& file,
 
 // --- rule: raw-mutex -----------------------------------------------------
 // Every lock in src/ must be a core/thread_safety.hpp wrapper: raw std
-// primitives are invisible to both the clang -Wthread-safety lane and the
-// debug lock-order validator, so a deadlock they participate in is only
-// found the hard way. thread_safety.hpp itself is the one legitimate home
-// of the raw types (it wraps them).
+// primitives are invisible to the clang -Wthread-safety lane, so a lock
+// they leave unheld is only found the hard way. thread_safety.hpp itself
+// is the one legitimate home of the raw types (it wraps them).
 const std::regex kRawSyncPrimitive(
     R"(\bstd::(mutex|shared_mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|shared_timed_mutex|lock_guard|unique_lock|shared_lock|scoped_lock|condition_variable(?:_any)?)\b)");
 
@@ -338,8 +336,8 @@ void check_raw_mutex(const fs::path& file,
              "raw std::" + m[1].str() +
                  "; use the annotated wrapper from core/thread_safety.hpp "
                  "(lscatter::Mutex / LockGuard / CondVar ...) so the "
-                 "thread-safety analysis and the lock-order validator see "
-                 "it, or waive with // lint-ok: raw-mutex");
+                 "thread-safety analysis sees it, or waive with "
+                 "// lint-ok: raw-mutex");
     }
   }
 }
