@@ -188,7 +188,7 @@ BENCHMARK(BM_OfdmDemodBatch)->Arg(1)->Arg(8);
 // the ratios land in fixed-name gauges so the run registry can trend
 // them and `lscatter-obs regress` can gate them:
 //
-//   dsp.simd.tier                      best tier (0 scalar, 1 sse2, 2 avx2)
+//   dsp.simd.tier                      best tier (0 scalar, 2 avx2)
 //   dsp.simd.speedup.fft1024           1024-pt forward FFT (workspace path)
 //   dsp.simd.speedup.corr_mac512       direct correlation, 512-tap pattern
 //   dsp.simd.speedup.qam_demap64       64-QAM hard-decision demap
@@ -309,8 +309,7 @@ void record_simd_speedups() {
 // the tiers that can run (a forced-scalar CI lane gets scalar-only rows).
 void register_tier_benchmarks() {
   for (const dsp::SimdTier t :
-       {dsp::SimdTier::kScalar, dsp::SimdTier::kSse2,
-        dsp::SimdTier::kAvx2}) {
+       {dsp::SimdTier::kScalar, dsp::SimdTier::kAvx2}) {
     if (!dsp::simd_tier_supported(t)) continue;
     const std::string suffix = dsp::to_string(t);
 

@@ -9,11 +9,11 @@
 //   LSCATTER_ENSURE(cond, "msg")   postcondition (callee broke its promise)
 //   LSCATTER_ASSERT(cond, "msg")   internal invariant
 //
-// Failure behaviour is configurable at runtime — abort (default), throw
-// lscatter::core::ContractViolation, or log-and-continue — via
-// set_failure_mode() or the LSCATTER_CONTRACTS environment variable
-// (abort|throw|log). The fuzz harnesses run in throw mode so a violated
-// precondition on hostile input is a caught rejection, not a crash.
+// Failure behaviour is configurable at runtime — abort (default) or throw
+// lscatter::core::ContractViolation — via set_failure_mode() or the
+// LSCATTER_CONTRACTS environment variable (abort|throw). The fuzz
+// harnesses run in throw mode so a violated precondition on hostile
+// input is a caught rejection, not a crash.
 //
 // Compile-time knob: -DLSCATTER_CHECKS=OFF defines
 // LSCATTER_CHECKS_ENABLED=0 and compiles every check out entirely (the
@@ -44,18 +44,15 @@ namespace contracts {
 enum class FailureMode {
   kAbort,  // print and std::abort() — the default; stacks stay intact
   kThrow,  // throw ContractViolation — used by tests and fuzz harnesses
-  kLog,    // print and continue — for best-effort production telemetry
 };
 
 namespace detail {
 inline FailureMode& mode_storage() {
   static FailureMode mode = [] {
-    if (const char* env = std::getenv("LSCATTER_CONTRACTS")) {
-      const std::string v(env);
-      if (v == "throw") return FailureMode::kThrow;
-      if (v == "log") return FailureMode::kLog;
-    }
-    return FailureMode::kAbort;
+    const char* env = std::getenv("LSCATTER_CONTRACTS");
+    return env != nullptr && std::string(env) == "throw"
+               ? FailureMode::kThrow
+               : FailureMode::kAbort;
   }();
   return mode;
 }
@@ -79,14 +76,8 @@ class ScopedFailureMode {
   FailureMode prev_;
 };
 
-[[noreturn]] inline void abort_with(const char* text) {
-  std::fputs(text, stderr);
-  std::fputc('\n', stderr);
-  std::abort();
-}
-
-inline void fail(const char* kind, const char* expr, const char* file,
-                 int line, const char* msg) {
+[[noreturn]] inline void fail(const char* kind, const char* expr,
+                              const char* file, int line, const char* msg) {
   std::string text = std::string("lscatter contract: ") + kind +
                      " failed: (" + expr + ") at " + file + ":" +
                      std::to_string(line);
@@ -94,17 +85,10 @@ inline void fail(const char* kind, const char* expr, const char* file,
     text += " — ";
     text += msg;
   }
-  switch (failure_mode()) {
-    case FailureMode::kThrow:
-      throw ContractViolation(text);
-    case FailureMode::kLog:
-      std::fputs(text.c_str(), stderr);
-      std::fputc('\n', stderr);
-      return;
-    case FailureMode::kAbort:
-      break;
-  }
-  abort_with(text.c_str());
+  if (failure_mode() == FailureMode::kThrow) throw ContractViolation(text);
+  std::fputs(text.c_str(), stderr);
+  std::fputc('\n', stderr);
+  std::abort();
 }
 
 }  // namespace contracts

@@ -13,6 +13,36 @@ namespace lscatter::core {
 using dsp::cf32;
 using dsp::cvec;
 
+void score_packet(const PacketDemodResult& res,
+                  const std::vector<std::uint8_t>& payload,
+                  std::size_t coded_bits, Fec fec, LinkMetrics& m) {
+  m.packets_sent += 1;
+  m.bits_sent += payload.size();
+  if (!res.preamble_found) {
+    m.bit_errors += payload.size() / 2;  // chance level
+    return;
+  }
+  m.packets_detected += 1;
+
+  const PacketCodec codec(coded_bits, fec);
+  const auto plain = fec == Fec::kNone
+                         ? codec.dewhiten(res.coded_bits)
+                         : codec.decode_soft_bits(res.soft_bits);
+  std::size_t errors = 0;
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    if (plain[i] != payload[i]) ++errors;
+  }
+  m.bit_errors += errors;
+
+  const std::size_t correct = payload.size() - errors;
+  m.bits_delivered += correct > errors ? correct - errors : 0;
+
+  if (res.payload && *res.payload == payload) {
+    m.packets_ok += 1;
+    m.bits_crc_ok += payload.size();
+  }
+}
+
 LinkSimulator::LinkSimulator(const LinkConfig& config)
     : config_(config),
       enodeb_(config.enodeb),
@@ -242,38 +272,8 @@ LinkMetrics LinkSimulator::run(std::size_t n_subframes) {
     }
 
     if (!sends_data) continue;
-
-    metrics.packets_sent += 1;
-    metrics.bits_sent += payload.size();
-
-    const PacketDemodResult res =
-        demodulator_.demodulate_packet(rx, ambient, sf0);
-    if (!res.preamble_found) {
-      metrics.bit_errors += payload.size() / 2;  // chance level
-      continue;
-    }
-    metrics.packets_detected += 1;
-
-    // BER over the decoded payload bits (after FEC when enabled).
-    const PacketCodec codec(capacity, config_.fec);
-    const auto plain =
-        config_.fec == Fec::kNone
-            ? codec.dewhiten(res.coded_bits)
-            : codec.decode_soft_bits(res.soft_bits);
-    std::size_t errors = 0;
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      if (plain[i] != payload[i]) ++errors;
-    }
-    metrics.bit_errors += errors;
-
-    const std::size_t correct = payload.size() - errors;
-    metrics.bits_delivered +=
-        correct > errors ? correct - errors : 0;  // chance-corrected
-
-    if (res.payload && *res.payload == payload) {
-      metrics.packets_ok += 1;
-      metrics.bits_crc_ok += payload.size();
-    }
+    score_packet(demodulator_.demodulate_packet(rx, ambient, sf0), payload,
+                 capacity, config_.fec, metrics);
   }
   return metrics;
 }

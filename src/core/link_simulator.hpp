@@ -96,6 +96,17 @@ struct DropState {
   std::size_t ambient_re_total = 0;
 };
 
+/// Score one sent packet into `m` against the `payload` it carried,
+/// sent as `coded_bits` on-air units with `fec`. The packet and its bits
+/// count as sent. A missed preamble costs chance-level bit errors (half
+/// the payload). Otherwise BER is taken over the decoded payload bits
+/// (dewhitened, or FEC-decoded from the soft bits), `bits_delivered`
+/// gains the chance-corrected max(0, correct - wrong), and a CRC-clean
+/// packet that reproduces `payload` counts toward packets_ok/bits_crc_ok.
+void score_packet(const PacketDemodResult& res,
+                  const std::vector<std::uint8_t>& payload,
+                  std::size_t coded_bits, Fec fec, LinkMetrics& m);
+
 class LinkSimulator {
  public:
   explicit LinkSimulator(const LinkConfig& config);

@@ -22,7 +22,9 @@ struct TagState {
   tag::TagController controller;
   cf32 gain;
   double sync_error_s = 0.0;
-  // Per-packet bookkeeping: payload for the packet being transmitted.
+  // Per-packet bookkeeping for the packet being transmitted: its on-air
+  // size and payload.
+  std::size_t coded_bits = 0;
   std::vector<std::uint8_t> payload;
   std::vector<std::vector<std::uint8_t>> symbol_payloads;
 };
@@ -66,6 +68,7 @@ MultiTagResult run_multi_tag(const MultiTagConfig& config,
                     cf32{static_cast<float>(amp * std::cos(phase)),
                          static_cast<float>(amp * std::sin(phase))},
                 base.sync.sample_error_s(rng),
+                0,
                 {},
                 {}};
     tags.push_back(std::move(st));
@@ -137,6 +140,7 @@ MultiTagResult run_multi_tag(const MultiTagConfig& config,
       if (cap <= 32) continue;
 
       const PacketCodec codec(cap);
+      st.coded_bits = cap;
       st.payload = payload_rng.bits(codec.payload_bits());
       st.symbol_payloads = split_bits(codec.encode(st.payload),
                                       st.controller.bits_per_symbol());
@@ -159,42 +163,21 @@ MultiTagResult run_multi_tag(const MultiTagConfig& config,
 #endif
     }
     channel::add_awgn(rx, worst_noise_mw, noise_rng);
+    if (active.empty()) continue;
 
-    // Demodulate each active tag's packet from the superposition.
+    // One decode of the superposition; each active tag's packet is
+    // scored against it (colliding tags share the same decoded bits).
+    const PacketDemodResult res = demod.demodulate_packet(rx, tx.samples, sf);
     for (const std::size_t i : active) {
-      TagState& st = tags[i];
       LinkMetrics& m = result.per_tag[i].metrics;
-      m.packets_sent += 1;
-      m.bits_sent += st.payload.size();
-
-      const auto res = demod.demodulate_packet(rx, tx.samples, sf);
-      if (!res.preamble_found) {
-        m.bit_errors += st.payload.size() / 2;
 #if LSCATTER_OBS_ENABLED
-        tag_err_cells[i]->add(st.payload.size() / 2);
+      const LinkMetrics before = m;
 #endif
-        continue;
-      }
-      m.packets_detected += 1;
-      const PacketCodec codec(st.payload.size() + 32);
-      const auto plain = codec.dewhiten(res.coded_bits);
-      std::size_t errors = 0;
-      for (std::size_t b = 0; b < st.payload.size(); ++b) {
-        if (plain[b] != st.payload[b]) ++errors;
-      }
-      m.bit_errors += errors;
-      const std::size_t correct = st.payload.size() - errors;
-      m.bits_delivered += correct > errors ? correct - errors : 0;
+      score_packet(res, tags[i].payload, tags[i].coded_bits, Fec::kNone, m);
 #if LSCATTER_OBS_ENABLED
-      if (errors > 0) tag_err_cells[i]->add(errors);
+      tag_err_cells[i]->add(m.bit_errors - before.bit_errors);
+      tag_ok_cells[i]->add(m.packets_ok - before.packets_ok);
 #endif
-      if (res.payload && *res.payload == st.payload) {
-        m.packets_ok += 1;
-        m.bits_crc_ok += st.payload.size();
-#if LSCATTER_OBS_ENABLED
-        tag_ok_cells[i]->add(1);
-#endif
-      }
     }
   }
   return result;

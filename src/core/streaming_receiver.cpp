@@ -63,11 +63,9 @@ bool StreamingReceiver::try_acquire() {
   obs::ScopedTimer stage_timer(acquire_latency);
 #endif
   const std::size_t frame_len = config_.cell.samples_per_frame();
-  const std::size_t min_needed =
-      config_.acquire_min_samples != 0
-          ? config_.acquire_min_samples
-          : frame_len + config_.cell.fft_size();
-  if (buffered_samples() < min_needed) return false;
+  if (buffered_samples() < frame_len + config_.cell.fft_size()) {
+    return false;
+  }
 
   const std::span<const dsp::cf32> window(rx_buffer_.data() + consumed_,
                                           buffered_samples());

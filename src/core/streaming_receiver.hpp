@@ -50,12 +50,9 @@ class StreamingReceiver {
     /// search (FFT-based correlation, see lte::CellSearcher) until a
     /// frame boundary is found, drops everything before that boundary,
     /// and only then starts carving packets. The first carved subframe
-    /// is subframe 0 of the acquired frame.
+    /// is subframe 0 of the acquired frame. A search runs once one frame
+    /// plus one FFT size is buffered.
     bool acquire_alignment = false;
-
-    /// Minimum buffered samples before attempting acquisition
-    /// (0 = one frame plus one FFT size).
-    std::size_t acquire_min_samples = 0;
 
     /// Minimum normalized PSS metric to accept alignment.
     float acquire_min_metric = 0.5f;

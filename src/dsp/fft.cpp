@@ -30,8 +30,8 @@ void raise_workspace_peak(std::uint64_t v) {
 
 // Iterative radix-2 DIT butterflies on a bit-reversed double-precision
 // buffer, dispatched through the SIMD kernel table (dsp/simd.hpp): the
-// scalar reference lives in kernels_scalar.cpp, the vector tiers in
-// kernels_{sse2,avx2}.cpp. The indirect call costs one relaxed atomic
+// scalar reference lives in kernels_scalar.cpp, the AVX2 tier in
+// kernels_avx2.cpp. The indirect call costs one relaxed atomic
 // load per transform — noise next to n·log n butterflies.
 inline void radix2(cf64* a, std::size_t n, const cf64* twiddle,
                    bool invert) {

@@ -18,10 +18,7 @@ constexpr int kUnresolved = -1;
 std::atomic<int> g_tier{kUnresolved};
 
 SimdTier clamp_to_supported(SimdTier t) {
-  while (t != SimdTier::kScalar && !simd_tier_supported(t)) {
-    t = static_cast<SimdTier>(static_cast<std::uint8_t>(t) - 1);
-  }
-  return t;
+  return simd_tier_supported(t) ? t : SimdTier::kScalar;
 }
 
 }  // namespace
@@ -29,7 +26,6 @@ SimdTier clamp_to_supported(SimdTier t) {
 const char* to_string(SimdTier t) {
   switch (t) {
     case SimdTier::kScalar: return "scalar";
-    case SimdTier::kSse2: return "sse2";
     case SimdTier::kAvx2: return "avx2";
   }
   return "?";
@@ -37,15 +33,12 @@ const char* to_string(SimdTier t) {
 
 SimdTier simd_best_supported() {
 #if defined(LSCATTER_SIMD_X86)
-  // The vector TUs are compiled with their own -m flags, so reachability
-  // is purely a runtime question answered by cpuid.
-  static const SimdTier best = [] {
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      return SimdTier::kAvx2;
-    }
-    if (__builtin_cpu_supports("sse2")) return SimdTier::kSse2;
-    return SimdTier::kScalar;
-  }();
+  // The AVX2 TU is compiled with its own -m flags, so reachability is
+  // purely a runtime question answered by cpuid.
+  static const SimdTier best =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
+          ? SimdTier::kAvx2
+          : SimdTier::kScalar;
   return best;
 #else
   return SimdTier::kScalar;
@@ -63,14 +56,12 @@ SimdTier resolve_simd_tier(const char* spec) {
     return simd_best_supported();
   }
   if (std::strcmp(spec, "scalar") == 0) return SimdTier::kScalar;
-  if (std::strcmp(spec, "sse2") == 0) {
-    return clamp_to_supported(SimdTier::kSse2);
-  }
   if (std::strcmp(spec, "avx2") == 0) {
     return clamp_to_supported(SimdTier::kAvx2);
   }
-  LSCATTER_EXPECT(false,
-                  "LSCATTER_SIMD must be scalar, sse2, avx2, or auto");
+  LSCATTER_EXPECT(false, "LSCATTER_SIMD must be scalar, avx2, or auto");
+  // Reached only in -DLSCATTER_CHECKS=OFF builds, where the check above
+  // compiles out: an unknown spec resolves like "auto".
   return simd_best_supported();
 }
 
@@ -97,7 +88,6 @@ const SimdKernels& simd_kernels(SimdTier t) {
 #if defined(LSCATTER_SIMD_X86)
   switch (t) {
     case SimdTier::kAvx2: return detail::kAvx2Kernels;
-    case SimdTier::kSse2: return detail::kSse2Kernels;
     case SimdTier::kScalar: break;
   }
 #else

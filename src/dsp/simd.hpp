@@ -5,19 +5,19 @@
 // The four hot kernels of the receive chain — the radix-2 FFT
 // butterflies, the correlation MACs, QAM demapping, and the per-unit
 // phase/accumulation machinery of the Eq. 7 offset search — are compiled
-// three times (scalar, SSE2, AVX2+FMA) into one binary and selected once
-// at runtime from a cached function-pointer table:
+// twice (scalar, AVX2+FMA) into one binary and selected once at runtime
+// from a cached function-pointer table:
 //
 //   const SimdKernels& k = simd_kernels();   // active tier's table
 //   k.corr_mac(sig, pat, m, &ar, &ai);
 //
 // Tier selection: the first simd_kernels()/simd_tier() call resolves the
-// LSCATTER_SIMD env var (scalar | sse2 | avx2 | auto; auto and unset pick
-// the best tier this CPU supports, a named tier is clamped down to the
-// best supported tier not above it). Tests and benches may switch tiers
-// programmatically with set_simd_tier(). The vector tiers exist only on
-// x86 builds with the LSCATTER_SIMD CMake option ON; everywhere else the
-// table degenerates to the scalar tier and dispatch stays valid.
+// LSCATTER_SIMD env var (scalar | avx2 | auto; auto and unset pick the
+// best tier this CPU supports, avx2 on a CPU without AVX2+FMA runs
+// scalar). Tests and benches may switch tiers programmatically with
+// set_simd_tier(). The AVX2 tier exists only on x86 builds with the
+// LSCATTER_SIMD CMake option ON; everywhere else the table degenerates
+// to the scalar tier and dispatch stays valid.
 //
 // Contracts shared by every tier of every kernel:
 //   * identical mathematical results; floating-point sums may differ in
@@ -36,7 +36,9 @@
 
 namespace lscatter::dsp {
 
-enum class SimdTier : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+// kAvx2 keeps its historical value 2, so the dsp.simd.tier gauge stays
+// comparable with older run-registry records.
+enum class SimdTier : std::uint8_t { kScalar = 0, kAvx2 = 2 };
 
 const char* to_string(SimdTier t);
 
@@ -90,27 +92,28 @@ struct SimdKernels {
                       std::uint8_t* bits) = nullptr;
 };
 
-/// Highest tier this binary + CPU can run (scalar when the vector TUs
-/// were compiled out: -DLSCATTER_SIMD=OFF or a non-x86 target).
+/// Highest tier this binary + CPU can run (scalar when the AVX2 TU was
+/// compiled out: -DLSCATTER_SIMD=OFF or a non-x86 target).
 SimdTier simd_best_supported();
 
 /// True if `t` can run here (scalar always can).
 bool simd_tier_supported(SimdTier t);
 
 /// Resolve an LSCATTER_SIMD-style spec to a runnable tier. nullptr, ""
-/// and "auto" pick simd_best_supported(); "scalar"/"sse2"/"avx2" are
-/// clamped down to the best supported tier not above the named one. Any
-/// other value is a contract violation (and resolves to auto so log-mode
-/// contracts stay usable).
+/// and "auto" pick simd_best_supported(); "scalar" is scalar; "avx2" is
+/// AVX2 where supported and scalar elsewhere. Any other value is a
+/// contract violation (and, in -DLSCATTER_CHECKS=OFF builds, which
+/// compile that check out, resolves like "auto").
 SimdTier resolve_simd_tier(const char* spec);
 
 /// Active tier: the first call resolves the LSCATTER_SIMD env var; later
 /// calls return the cached choice (or whatever set_simd_tier installed).
 SimdTier simd_tier();
 
-/// Force the active tier (clamped to supported; returns the tier actually
-/// installed). Takes effect for subsequent simd_kernels() calls on all
-/// threads — meant for tests and benches, not for flipping mid-pipeline.
+/// Force the active tier (an unsupported tier installs scalar; returns
+/// the tier actually installed). Takes effect for subsequent
+/// simd_kernels() calls on all threads — meant for tests and benches,
+/// not for flipping mid-pipeline.
 SimdTier set_simd_tier(SimdTier t);
 
 /// Kernel table of the active tier.

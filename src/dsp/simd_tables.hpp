@@ -1,12 +1,11 @@
 #pragma once
 // Private glue between the dispatcher (simd.cpp) and the per-tier kernel
-// translation units (kernels_scalar.cpp / kernels_sse2.cpp /
-// kernels_avx2.cpp). Not installed into the public API — include only
-// from dsp/ kernel TUs.
+// translation units (kernels_scalar.cpp / kernels_avx2.cpp). Not
+// installed into the public API — include only from dsp/ kernel TUs.
 //
-// Each tier TU defines one extern table. The SSE2/AVX2 TUs are compiled
-// with per-file -msse2 / -mavx2 -mfma flags (src/CMakeLists.txt) and
-// exist only when LSCATTER_SIMD_X86 is defined; on other targets (or
+// Each tier TU defines one extern table. The AVX2 TU is compiled with
+// per-file -mavx2 -mfma flags (src/CMakeLists.txt) and exists only when
+// LSCATTER_SIMD_X86 is defined; on other targets (or
 // -DLSCATTER_SIMD=OFF) the dispatcher sees only the scalar table.
 
 #include "dsp/simd.hpp"
@@ -15,7 +14,6 @@ namespace lscatter::dsp::detail {
 
 extern const SimdKernels kScalarKernels;
 #if defined(LSCATTER_SIMD_X86)
-extern const SimdKernels kSse2Kernels;
 extern const SimdKernels kAvx2Kernels;
 #endif
 

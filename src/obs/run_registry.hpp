@@ -58,7 +58,7 @@ struct Provenance {
   std::string hostname;    // local_hostname() or caller-supplied
   std::uint64_t threads = 0;
   /// Resolved SIMD dispatch tier at record time (dsp::to_string of
-  /// dsp::simd_tier(), e.g. "avx2" / "sse2" / "scalar"); empty when
+  /// dsp::simd_tier(): "avx2" or "scalar"); empty when
   /// unknown (records predating the field). Lets trend/regress compare
   /// like-for-like: a scalar-forced CI row must not poison the median
   /// for AVX2 boxes.

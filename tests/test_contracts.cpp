@@ -31,11 +31,6 @@ TEST(Contracts, PassingCheckIsSilent) {
   EXPECT_NO_THROW(LSCATTER_EXPECT(2 + 2 == 4, "arithmetic works"));
 }
 
-TEST(Contracts, LogModeContinues) {
-  ScopedFailureMode guard(FailureMode::kLog);
-  EXPECT_NO_THROW(LSCATTER_ASSERT(false, "logged, not fatal"));
-}
-
 TEST(Contracts, ScopedModeRestoresOnExit) {
   const FailureMode before = core::contracts::failure_mode();
   {

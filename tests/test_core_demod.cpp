@@ -240,8 +240,8 @@ bool bit_identical(const std::optional<core::OffsetResult>& a,
 
 std::vector<dsp::SimdTier> supported_tiers() {
   std::vector<dsp::SimdTier> tiers;
-  for (const dsp::SimdTier t : {dsp::SimdTier::kScalar, dsp::SimdTier::kSse2,
-                                dsp::SimdTier::kAvx2}) {
+  for (const dsp::SimdTier t :
+       {dsp::SimdTier::kScalar, dsp::SimdTier::kAvx2}) {
     if (dsp::simd_tier_supported(t)) tiers.push_back(t);
   }
   return tiers;

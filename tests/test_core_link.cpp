@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/framing.hpp"
 #include "core/link_simulator.hpp"
 #include "core/scenario.hpp"
+#include "dsp/rng.hpp"
 
 namespace {
 
@@ -111,6 +113,45 @@ TEST(LinkSimulator, DropStateReportsBudget) {
   EXPECT_LT(d.backscatter_rx_dbm, cfg.enodeb.tx_power_dbm);
   EXPECT_LT(d.noise_dbm, d.backscatter_rx_dbm);  // positive SNR up close
   EXPECT_GT(d.mean_snr_db.value(), 15.0);
+}
+
+// score_packet is the per-packet scorer LinkSimulator::run and
+// run_multi_tag share: a miss costs half the payload, a decoded packet
+// its true bit errors, and only a CRC-clean exact payload counts as ok.
+TEST(ScorePacket, ScoresMissedCleanAndCorruptPackets) {
+  const core::PacketCodec codec(132);  // 100 payload bits + CRC-32
+  dsp::Rng rng(7);
+  const std::vector<std::uint8_t> payload = rng.bits(codec.payload_bits());
+  core::PacketDemodResult res;
+  res.coded_bits = codec.encode(payload);
+  LinkMetrics m;
+
+  core::score_packet(res, payload, 132, core::Fec::kNone, m);
+  EXPECT_EQ(m.packets_sent, 1u);
+  EXPECT_EQ(m.bits_sent, 100u);
+  EXPECT_EQ(m.packets_detected, 0u);
+  EXPECT_EQ(m.bit_errors, 50u);
+  EXPECT_EQ(m.bits_delivered, 0u);
+
+  res.preamble_found = true;
+  res.payload = codec.decode(res.coded_bits);
+  core::score_packet(res, payload, 132, core::Fec::kNone, m);
+  EXPECT_EQ(m.packets_detected, 1u);
+  EXPECT_EQ(m.bit_errors, 50u);
+  EXPECT_EQ(m.bits_delivered, 100u);
+  EXPECT_EQ(m.packets_ok, 1u);
+  EXPECT_EQ(m.bits_crc_ok, 100u);
+
+  res.coded_bits[3] ^= 1;  // one payload bit wrong: the CRC fails
+  res.payload = codec.decode(res.coded_bits);
+  ASSERT_FALSE(res.payload.has_value());
+  core::score_packet(res, payload, 132, core::Fec::kNone, m);
+  EXPECT_EQ(m.packets_sent, 3u);
+  EXPECT_EQ(m.packets_detected, 2u);
+  EXPECT_EQ(m.bit_errors, 51u);
+  EXPECT_EQ(m.bits_delivered, 100u + 98u);
+  EXPECT_EQ(m.packets_ok, 1u);
+  EXPECT_EQ(m.bits_crc_ok, 100u);
 }
 
 }  // namespace
