@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): the DSP substrate's hot loops —
-// FFTs at every LTE size, OFDM modulation, PSS correlation — to show the
-// simulator's building blocks run at practical speeds. On exit the
+// FFTs at every LTE size, OFDM modulation, PSS correlation, AWGN — to
+// show the simulator's building blocks run at practical speeds. On exit the
 // observability registry is written as JSON to `LSCATTER_OBS_JSON` or,
 // by default, BENCH_micro_dsp.json.
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "channel/awgn.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/rng.hpp"
@@ -365,6 +366,23 @@ void register_tier_benchmarks() {
           for (auto _ : state) {
             lte::qam_demodulate_into(sym, lte::Modulation::kQam64, bits);
             benchmark::DoNotOptimize(bits.data());
+            benchmark::ClobberMemory();
+          }
+          dsp::set_simd_tier(prev);
+        });
+
+    // One 20 MHz subframe of AWGN at a thermal-floor-like power: the
+    // Monte-Carlo channel's last step (DESIGN.md §17).
+    benchmark::RegisterBenchmark(
+        ("BM_AddAwgn30720/" + suffix).c_str(),
+        [t](benchmark::State& state) {
+          const dsp::SimdTier prev = dsp::simd_tier();
+          dsp::set_simd_tier(t);
+          dsp::Rng rng(5);
+          dsp::cvec x(30720);
+          for (auto _ : state) {
+            channel::add_awgn(x, 1e-9, rng);
+            benchmark::DoNotOptimize(x.data());
             benchmark::ClobberMemory();
           }
           dsp::set_simd_tier(prev);

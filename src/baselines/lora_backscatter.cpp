@@ -58,8 +58,8 @@ core::LinkMetrics LoraBackscatterLink::run_burst(std::size_t n_bits) {
   for (std::size_t i = 0; i < n_bits; ++i) {
     for (std::size_t k = 0; k < n; ++k) {
       rx[k] = bits[i] ? amp * chirp[k] : cf32{};
-      rx[k] += noise_rng.complex_normal(noise_mw);
     }
+    channel::add_awgn(rx, noise_mw, noise_rng);
     cvec d(n);
     for (std::size_t k = 0; k < n; ++k) d[k] = rx[k] * std::conj(chirp[k]);
     const double peak = std::abs(dsp::sum(d));

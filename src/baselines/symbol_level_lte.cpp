@@ -64,6 +64,7 @@ core::LinkMetrics SymbolLevelLteLink::run(std::size_t n_subframes) {
   cf32 ref_g{};
   std::uint8_t pending_bit = 1;
 
+  cvec r(cell.fft_size());  // one symbol's received useful part
   for (std::size_t sf = 0; sf < n_subframes; ++sf) {
     const lte::SubframeTx tx = enodeb_.next_subframe();
     for (std::size_t l = 0; l < lte::kSymbolsPerSubframe; ++l) {
@@ -83,12 +84,14 @@ core::LinkMetrics SymbolLevelLteLink::run(std::size_t n_subframes) {
       }
 
       // Integrate r * conj(x) over the useful part, with noise.
+      for (std::size_t n = 0; n < k; ++n) {
+        r[n] = gain * sign * tx.samples[off + cp + n];
+      }
+      channel::add_awgn(r, noise_mw, noise_rng);
       dsp::cf64 acc{};
       for (std::size_t n = 0; n < k; ++n) {
         const cf32 x = tx.samples[off + cp + n];
-        const cf32 r =
-            gain * sign * x + noise_rng.complex_normal(noise_mw);
-        acc += dsp::cf64{r.real(), r.imag()} *
+        acc += dsp::cf64{r[n].real(), r[n].imag()} *
                dsp::cf64{x.real(), -x.imag()};
       }
       const cf32 g{static_cast<float>(acc.real()),

@@ -80,8 +80,8 @@ core::LinkMetrics WifiUnitLevelLink::run_burst(std::size_t n_symbols) {
                          ? true
                          : pattern[static_cast<std::size_t>(idx)] != 0;
     rx[n] = gain * ambient[n] * (one ? 1.0f : -1.0f);
-    rx[n] += noise_rng.complex_normal(noise_mw);
   }
+  channel::add_awgn(rx, noise_mw, noise_rng);
 
   core::LinkMetrics m;
   m.bits_sent = n_data_bits;

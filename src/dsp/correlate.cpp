@@ -145,14 +145,14 @@ void fast_correlate_batch_into(std::span<const cf32> signal,
   if (patterns.empty()) return;
   const std::size_t m = patterns[0].size();
   LSCATTER_EXPECT(m > 0, "correlation needs non-empty patterns");
-  for (const auto& p : patterns) {
+  for ([[maybe_unused]] const auto& p : patterns) {
     LSCATTER_EXPECT(p.size() == m, "batched patterns must share one length");
   }
   LSCATTER_EXPECT(signal.size() >= m,
                   "signal must be at least as long as the pattern");
   const std::size_t n = signal.size();
   const std::size_t lags = n - m + 1;
-  for (const auto& o : outs) {
+  for ([[maybe_unused]] const auto& o : outs) {
     LSCATTER_EXPECT(o.size() == lags,
                     "output must hold exactly signal - pattern + 1 lags");
   }

@@ -24,6 +24,18 @@
 
 #include "dsp/simd_tables.hpp"
 
+#if defined(LSCATTER_HAVE_LIBMVEC)
+// glibc's libmvec, AVX2 variants (x86-64 vector function ABI, 4 doubles
+// in ymm0). Their symbols are reserved identifiers, so the asm labels
+// bind them to ordinary names. src/CMakeLists.txt links the library and
+// defines the macro only where find_library finds it.
+extern "C" {
+__m256d libmvec_log4(__m256d x) __asm__("_ZGVdN4v_log");
+__m256d libmvec_sin4(__m256d x) __asm__("_ZGVdN4v_sin");
+__m256d libmvec_cos4(__m256d x) __asm__("_ZGVdN4v_cos");
+}
+#endif
+
 namespace lscatter::dsp::detail {
 namespace {
 
@@ -378,12 +390,88 @@ void qam_demap64(const cf32* sym, std::size_t n, std::uint8_t* bits) {
   }
 }
 
+#if defined(LSCATTER_HAVE_LIBMVEC)
+// Box–Muller accept rule (DESIGN.md §17). A component D̃ computed with
+// libmvec lies within kBoxMullerRel·|D̃| of the scalar entry's D (the
+// derived bound, doubled), so where D̃ ± that window round to the same
+// float, D rounds there too. Lanes below the magnitude floor (D̃ == 0
+// included, where a relative bound says nothing) or near a zero of their
+// sin/cos go to the scalar entry.
+constexpr double kBoxMullerRel = 0x1p-47;
+constexpr double kBoxMullerMinTrig = 0x1p-20;
+constexpr double kBoxMullerMinMag = 0x1p-1000;
+
+/// 4-bit mask of the lanes of `d` whose float rounding is decided.
+inline int box_muller_decided(__m256d d, __m256d trig) {
+  const __m256d absmask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+  const __m256d mag = _mm256_and_pd(d, absmask);
+  const __m256d b = _mm256_mul_pd(mag, _mm256_set1_pd(kBoxMullerRel));
+  const __m128 lo = _mm256_cvtpd_ps(_mm256_sub_pd(d, b));
+  const __m128 hi = _mm256_cvtpd_ps(_mm256_add_pd(d, b));
+  const __m256d in_range = _mm256_and_pd(
+      _mm256_cmp_pd(mag, _mm256_set1_pd(kBoxMullerMinMag), _CMP_GE_OQ),
+      _mm256_cmp_pd(_mm256_and_pd(trig, absmask),
+                    _mm256_set1_pd(kBoxMullerMinTrig), _CMP_GE_OQ));
+  return _mm_movemask_ps(_mm_cmpeq_ps(lo, hi)) &
+         _mm256_movemask_pd(in_range);
+}
+
+void box_muller_add(const double* u1, const double* u2, std::size_t n,
+                    double scale, cf32* x) {
+  auto* xf = reinterpret_cast<float*>(x);
+  const __m256d two_pi = _mm256_set1_pd(kTwoPi);
+  const __m256d minus_two = _mm256_set1_pd(-2.0);
+  const __m256d vscale = _mm256_set1_pd(scale);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // The scalar entry's operations in its order, 4 lanes at a time;
+    // only log, sin and cos differ (libmvec instead of libm).
+    const __m256d r = _mm256_sqrt_pd(
+        _mm256_mul_pd(minus_two, libmvec_log4(_mm256_loadu_pd(u1 + i))));
+    const __m256d a = _mm256_mul_pd(two_pi, _mm256_loadu_pd(u2 + i));
+    const __m256d c = libmvec_cos4(a);
+    const __m256d s = libmvec_sin4(a);
+    const __m256d re = _mm256_mul_pd(vscale, _mm256_mul_pd(r, c));
+    const __m256d im = _mm256_mul_pd(vscale, _mm256_mul_pd(r, s));
+    const int ok = box_muller_decided(re, c) & box_muller_decided(im, s);
+    const __m128 fre = _mm256_cvtpd_ps(re);
+    const __m128 fim = _mm256_cvtpd_ps(im);
+    if (ok == 0xF) {
+      const __m256 noise = _mm256_set_m128(_mm_unpackhi_ps(fre, fim),
+                                           _mm_unpacklo_ps(fre, fim));
+      _mm256_storeu_ps(xf + 2 * i,
+                       _mm256_add_ps(_mm256_loadu_ps(xf + 2 * i), noise));
+      continue;
+    }
+    alignas(16) float fr[4] = {};
+    alignas(16) float fi[4] = {};
+    _mm_store_ps(fr, fre);
+    _mm_store_ps(fi, fim);
+    for (std::size_t j = 0; j < 4; ++j) {
+      if ((ok >> j) & 1) {
+        x[i + j] += cf32{fr[j], fi[j]};
+      } else {
+        box_muller_add_scalar(u1 + i + j, u2 + i + j, 1, scale, x + i + j);
+      }
+    }
+  }
+  box_muller_add_scalar(u1 + i, u2 + i, n - i, scale, x + i);
+}
+#endif  // LSCATTER_HAVE_LIBMVEC
+
 }  // namespace
 
 const SimdKernels kAvx2Kernels = {
     SimdTier::kAvx2, &fft_radix2,   &corr_mac,    &cmul64,
     &conj_mul,       &sum_abs,      &pattern_sums, &qam_demap_qpsk,
     &qam_demap16,    &qam_demap64,
+#if defined(LSCATTER_HAVE_LIBMVEC)
+    &box_muller_add,
+#else
+    // Without libmvec there is no exact-checked vector path to offer.
+    &box_muller_add_scalar,
+#endif
 };
 
 }  // namespace lscatter::dsp::detail

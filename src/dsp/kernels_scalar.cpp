@@ -2,10 +2,10 @@
 //
 // This TU is the reference implementation: every vector tier must match
 // it to the equivalence-suite tolerance (bit-exactly for the QAM hard
-// decisions). It is also the only tier on non-x86 targets and under
-// -DLSCATTER_SIMD=OFF, so it carries the same no-alias/real-arithmetic
-// discipline as the pre-SIMD hot loops it absorbed (see the radix2 note
-// below).
+// decisions and the Box–Muller AWGN). It is also the only tier on
+// non-x86 targets and under -DLSCATTER_SIMD=OFF, so it carries the same
+// no-alias/real-arithmetic discipline as the pre-SIMD hot loops it
+// absorbed (see the radix2 note below).
 
 #include <cmath>
 #include <cstddef>
@@ -169,10 +169,24 @@ void qam_demap64(const cf32* sym, std::size_t n, std::uint8_t* bits) {
 
 }  // namespace
 
+// Rng::normal's expression, operation for operation: the product r·cos
+// is rounded to double before the scale multiply, as the cached deviate
+// is, and each component rounds once to float.
+void box_muller_add_scalar(const double* u1, const double* u2,
+                           std::size_t n, double scale, cf32* x) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = std::sqrt(-2.0 * std::log(u1[i]));
+    const double a = kTwoPi * u2[i];
+    const double c = r * std::cos(a);
+    const double s = r * std::sin(a);
+    x[i] += cf32{static_cast<float>(scale * c), static_cast<float>(scale * s)};
+  }
+}
+
 const SimdKernels kScalarKernels = {
     SimdTier::kScalar, &fft_radix2,   &corr_mac,    &cmul64,
     &conj_mul,         &sum_abs,      &pattern_sums, &qam_demap_qpsk,
-    &qam_demap16,      &qam_demap64,
+    &qam_demap16,      &qam_demap64,  &box_muller_add_scalar,
 };
 
 }  // namespace lscatter::dsp::detail

@@ -1,7 +1,11 @@
 #include "dsp/rng.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+
+#include "dsp/simd.hpp"
 
 namespace lscatter::dsp {
 
@@ -75,6 +79,31 @@ cf32 Rng::complex_normal(double variance) {
   const double s = std::sqrt(variance / 2.0);
   return cf32{static_cast<float>(s * normal()),
               static_cast<float>(s * normal())};
+}
+
+void Rng::add_complex_normal(std::span<cf32> x, double variance) {
+  if (has_cached_normal_) {
+    // The cached deviate would pair each sample's sin with the next
+    // sample's cos; no caller gets here, so keep the plain loop for it.
+    for (auto& v : x) v += complex_normal(variance);
+    return;
+  }
+  const double s = std::sqrt(variance / 2.0);
+  const SimdKernels& k = simd_kernels();
+  constexpr std::size_t kBlock = 256;
+  std::array<double, kBlock> u1{};
+  std::array<double, kBlock> u2{};
+  for (std::size_t done = 0; done < x.size(); done += kBlock) {
+    const std::size_t n = std::min(kBlock, x.size() - done);
+    for (std::size_t i = 0; i < n; ++i) {
+      // normal()'s draws: u1 with its retry, then u2.
+      do {
+        u1[i] = uniform();
+      } while (u1[i] <= 1e-300);
+      u2[i] = uniform();
+    }
+    k.box_muller_add(u1.data(), u2.data(), n, s, x.data() + done);
+  }
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }

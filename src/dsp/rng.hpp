@@ -8,6 +8,7 @@
 // unlike std::mt19937 — identical output across standard libraries.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dsp/types.hpp"
@@ -51,6 +52,12 @@ class Rng {
 
   /// Circularly-symmetric complex Gaussian with E[|z|^2] = variance.
   cf32 complex_normal(double variance = 1.0);
+
+  /// x[i] += complex_normal(variance) for every i, in order: x and the
+  /// generator end bit for bit as that loop leaves them. The uniforms
+  /// are drawn in blocks in the loop's order and turned into noise by
+  /// the SIMD tier's exact box_muller_add kernel (DESIGN.md §17).
+  void add_complex_normal(std::span<cf32> x, double variance);
 
   /// Bernoulli with probability p of returning true.
   bool bernoulli(double p);

@@ -4,9 +4,10 @@
 //
 // The four hot kernels of the receive chain — the radix-2 FFT
 // butterflies, the correlation MACs, QAM demapping, and the per-unit
-// phase/accumulation machinery of the Eq. 7 offset search — are compiled
-// twice (scalar, AVX2+FMA) into one binary and selected once at runtime
-// from a cached function-pointer table:
+// phase/accumulation machinery of the Eq. 7 offset search — plus the
+// channel's Box–Muller AWGN step are compiled twice (scalar, AVX2+FMA)
+// into one binary and selected once at runtime from a cached
+// function-pointer table:
 //
 //   const SimdKernels& k = simd_kernels();   // active tier's table
 //   k.corr_mac(sig, pat, m, &ar, &ai);
@@ -23,7 +24,7 @@
 //   * identical mathematical results; floating-point sums may differ in
 //     association only, bounded by the scalar-vs-SIMD equivalence suites
 //     (<= 1e-4 relative on random + Zadoff-Chu inputs, bit-exact for the
-//     QAM hard decisions);
+//     QAM hard decisions and for box_muller_add);
 //   * no alignment requirement — all tiers issue unaligned loads/stores,
 //     so std::vector / span buffers need no special allocator (32-byte
 //     alignment still helps AVX2 throughput; see DESIGN.md §14);
@@ -90,6 +91,16 @@ struct SimdKernels {
                       std::uint8_t* bits) = nullptr;
   void (*qam_demap64)(const cf32* sym, std::size_t n,
                       std::uint8_t* bits) = nullptr;
+
+  /// Box–Muller AWGN (Rng::add_complex_normal, DESIGN.md §17): for each
+  /// i, with r = sqrt(-2 log u1[i]) and a = 2π·u2[i], x[i] +=
+  /// {float(scale·(r·cos a)), float(scale·(r·sin a))}, every step
+  /// rounded as Rng::normal rounds it. u1 in (0, 1), u2 in [0, 1).
+  /// Bit-exact across tiers: a vector tier keeps a lane only where its
+  /// error bound cannot change the float, and recomputes the rest with
+  /// the scalar entry.
+  void (*box_muller_add)(const double* u1, const double* u2, std::size_t n,
+                         double scale, cf32* x) = nullptr;
 };
 
 /// Highest tier this binary + CPU can run (scalar when the AVX2 TU was

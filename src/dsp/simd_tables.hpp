@@ -17,6 +17,13 @@ extern const SimdKernels kScalarKernels;
 extern const SimdKernels kAvx2Kernels;
 #endif
 
+// The scalar tier's box_muller_add, named so the AVX2 tier can send the
+// lanes its error bound cannot decide back to it (DESIGN.md §17). It
+// lives in kernels_scalar.cpp, which is compiled without -mfma, so no
+// contraction can change its rounding.
+void box_muller_add_scalar(const double* u1, const double* u2,
+                           std::size_t n, double scale, cf32* x);
+
 // QAM hard-decision thresholds shared by every tier (and by lte/qam.cpp,
 // whose constellation constants these must match bit-for-bit so the
 // demappers stay bit-exact across tiers): TS 36.211 unit-average-power

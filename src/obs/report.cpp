@@ -57,9 +57,12 @@ json::Value histogram_json(const Histogram& h, bool include_buckets) {
   json::Value v;
   v["count"] = json::Value(h.count());
   v["sum"] = json::Value(h.sum());
+  // An empty histogram measured nothing: leave the statistics out rather
+  // than write zeros that metric_value would read as measurements.
+  if (h.count() == 0) return v;
   v["mean"] = json::Value(h.mean());
-  v["min"] = json::Value(h.count() == 0 ? 0.0 : h.min());
-  v["max"] = json::Value(h.count() == 0 ? 0.0 : h.max());
+  v["min"] = json::Value(h.min());
+  v["max"] = json::Value(h.max());
   v["p50"] = json::Value(h.quantile(0.50));
   v["p90"] = json::Value(h.quantile(0.90));
   v["p99"] = json::Value(h.quantile(0.99));

@@ -2,7 +2,8 @@
 // (DESIGN.md §14). Every vector tier the host supports must reproduce
 // the scalar reference: <= 1e-4 relative on the floating-point kernels
 // (random + Zadoff-Chu inputs, every LTE numerology size) and bit-exact
-// on the QAM hard decisions. Also pins the dispatch contract itself —
+// on the QAM hard decisions and the Box–Muller AWGN kernel. Also pins
+// the dispatch contract itself —
 // LSCATTER_SIMD-style specs resolve to the named tier, and `auto` never
 // picks a tier the CPU cannot run.
 
@@ -10,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -258,6 +260,62 @@ TEST(SimdEquivalence, QamHardDecisionsAreBitExactAcrossTiers) {
           break;
       }
       EXPECT_EQ(ref, got) << "tier=" << to_string(t) << " bps=" << bps;
+    }
+  }
+}
+
+TEST(SimdEquivalence, BoxMullerAddIsBitExactAcrossTiers) {
+  // Chosen uniforms: u1 at both ends of its range and in the middle; u2
+  // at 0 (sin = 0 exactly), at its top, and one ulp either side of every
+  // k/8 (the zeros of sin and cos and the octant edges their argument
+  // reductions switch at). Random pairs after them keep most lanes on
+  // the vector path.
+  std::vector<double> u2_edges = {0.0, 0x1p-53, 1.0 - 0x1p-53};
+  for (int k = 1; k < 8; ++k) {
+    for (const double d : {-0x1p-53, 0.0, 0x1p-53}) {
+      u2_edges.push_back(k / 8.0 + d);
+    }
+  }
+  std::vector<double> u1;
+  std::vector<double> u2;
+  for (const double a : {0x1p-53, 0.5, 1.0 - 0x1p-53}) {
+    for (const double b : u2_edges) {
+      u1.push_back(a);
+      u2.push_back(b);
+    }
+  }
+  Rng rng(0xB0C5);
+  for (int i = 0; i < 509; ++i) {
+    double a = 0.0;
+    do {
+      a = rng.uniform();
+    } while (a <= 1e-300);
+    u1.push_back(a);
+    u2.push_back(rng.uniform());
+  }
+  const cvec base = random_input(u1.size(), 0xA11);
+
+  for (const double scale : {1.0, 1e-20}) {
+    // Shifting the start moves every chosen input through each lane of
+    // the 4-wide body; the lengths are not multiples of 4 at shifts 1-3.
+    for (std::size_t shift = 0; shift < 4; ++shift) {
+      const std::size_t n = u1.size() - shift;
+      cvec ref(base.begin() + static_cast<std::ptrdiff_t>(shift), base.end());
+      simd_kernels(SimdTier::kScalar)
+          .box_muller_add(u1.data() + shift, u2.data() + shift, n, scale,
+                          ref.data());
+      for (const SimdTier t : supported_tiers()) {
+        cvec got(base.begin() + static_cast<std::ptrdiff_t>(shift),
+                 base.end());
+        simd_kernels(t).box_muller_add(u1.data() + shift, u2.data() + shift,
+                                       n, scale, got.data());
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (std::memcmp(&ref[i], &got[i], sizeof(cf32)) != 0) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u) << "tier=" << to_string(t)
+                                  << " scale=" << scale << " shift=" << shift;
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -13,6 +14,8 @@
 
 #include "obs/diff.hpp"
 #include "obs/json.hpp"
+#include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "obs/run_registry.hpp"
 
 namespace {
@@ -224,6 +227,22 @@ TEST(RunRegistry, MetricNamesAndValuesFlatten) {
                    .has_value());
   EXPECT_FALSE(obs::metric_value(r, "counters.nope").has_value());
   EXPECT_FALSE(obs::metric_value(r, "nodot").has_value());
+}
+
+TEST(RunRegistry, EmptyHistogramRendersNoMeasuredValues) {
+  // Registered but never recorded: the rendered report carries count and
+  // sum only, so nothing downstream reads a quantile of zero samples.
+  obs::Registry::instance().histogram("test.reg.empty.seconds");
+  const obs::json::Value report = obs::build_report("empty-hist");
+  const std::string name = "histograms.test.reg.empty.seconds";
+  EXPECT_DOUBLE_EQ(*obs::metric_value(report, name + ".count"), 0.0);
+  for (const char* field : {".p50", ".p90", ".p99", ".mean", ".min", ".max"}) {
+    EXPECT_FALSE(obs::metric_value(report, name + field).has_value())
+        << field;
+  }
+  const auto names = obs::metric_names(report);
+  EXPECT_EQ(std::count(names.begin(), names.end(), name + ".count"), 1);
+  EXPECT_EQ(std::count(names.begin(), names.end(), name + ".p50"), 0);
 }
 
 TEST(RunRegistry, TrendFlagsQuantileGrowthOnly) {
