@@ -1,33 +1,23 @@
 #!/usr/bin/env bash
-# Bench regression gate: run the micro benches with fresh observability
-# reports and diff each against its committed baseline in
-# bench/baselines/ using `lscatter-obs diff`. Metric-name drift (a
-# renamed or dropped counter/gauge/histogram) always fails; histogram
-# quantile regressions fail only past --threshold, because absolute
-# timings vary by machine. --smoke restricts the diff to schema drift —
-# that is the mode scripts/check.sh and CI run, so committed baselines
-# from one machine never fail another machine on timing.
-#
-# A bench without a committed baseline (bench_micro_pool and
-# bench_micro_obs, deliberately — their thread-scaling and contention
-# numbers are too machine-shaped to commit) falls back to the run
-# registry:
-# `lscatter-obs regress` synthesizes a per-metric median baseline from
-# the bench's prior recorded runs and gates against that. A young
-# registry (< 2 prior runs) passes with a note — it never blocks.
+# Bench regression gate: run the five micro benches with fresh
+# observability reports and gate each against the run registry's
+# per-metric median with `lscatter-obs regress` — the one reference a
+# micro-bench run is gated against (DESIGN.md §7, §11). A metric the
+# median has and the fresh run lacks (renamed or dropped) always fails;
+# histogram quantile regressions fail past regress's thresholds (p50
+# +25%, p90/p99 +150%), because absolute timings vary by machine.
+# --smoke restricts the gate to schema drift — the mode scripts/check.sh
+# and CI run. A young registry (< 2 prior runs of a bench) passes with a
+# note; it never blocks.
 #
 # Every gated run is then recorded to the registry (regress BEFORE
 # record, so a fresh run never biases its own baseline), stamped with
 # the git sha/dirty flag computed here — bench binaries and the CLI
 # never shell out to git themselves.
 #
-# Usage: scripts/bench_gate.sh [--smoke] [--threshold PCT]
-#                               [--tail-threshold PCT] [--no-record]
-#                               [build-dir]
-#   --smoke               schema-drift check only (no timing thresholds)
-#   --threshold PCT       allowed relative p50 growth (default 25)
-#   --tail-threshold PCT  allowed relative p90/p99 growth (default 150)
-#   --no-record           gate only; do not append to the run registry
+# Usage: scripts/bench_gate.sh [--smoke] [--no-record] [build-dir]
+#   --smoke      schema-drift check only (no timing thresholds)
+#   --no-record  gate only; do not append to the run registry
 # Env: BENCH_GATE_KEEP_DIR=<dir> keeps the fresh reports and Chrome
 # traces there instead of a temp dir — CI uploads it on failure.
 # LSCATTER_OBS_REGISTRY overrides the registry path (default:
@@ -39,22 +29,12 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 smoke=0
-threshold=25
-tail_threshold=150
 record=1
 build="$repo/build"
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --smoke) smoke=1 ;;
-    --threshold)
-      threshold="$2"
-      shift
-      ;;
-    --tail-threshold)
-      tail_threshold="$2"
-      shift
-      ;;
     --no-record) record=0 ;;
     *) build="$1" ;;
   esac
@@ -63,6 +43,8 @@ done
 
 benches=(bench_micro_rx bench_micro_dsp bench_micro_pool bench_micro_obs bench_soak_day)
 
+# A fresh clone has no build tree yet: configure it on first use.
+[[ -f "$build/CMakeCache.txt" ]] || cmake -B "$build" -S "$repo"
 cmake --build "$build" -j "$jobs" --target "${benches[@]}" lscatter-obs
 
 obs="$build/tools/lscatter-obs"
@@ -87,18 +69,16 @@ else
   trap 'rm -rf "$tmp"' EXIT
 fi
 
-gate_args=(--threshold "$threshold" --tail-threshold "$tail_threshold")
+gate_args=()
 [[ "$smoke" == 1 ]] && gate_args+=(--schema-only)
 
 fail=0
 for bench in "${benches[@]}"; do
-  baseline="$repo/bench/baselines/BENCH_${bench#bench_}.json"
-
   bench_args=()
   case "$bench" in
     bench_micro_pool) bench_args=(--drops=4 --subframes=2) ;;
     bench_micro_obs) bench_args=(--iters=200000) ;;
-    # Soak smoke: a thin 24h day (8 subframes/hour, ~30 s). The
+    # Soak smoke: a thin 24h day (8 subframes/hour). The
     # zero-allocation and CRC gates stay armed (they are deterministic);
     # the realtime gate is disabled — CI machine timing is gated against
     # the registry median below, like every other metric.
@@ -107,9 +87,9 @@ for bench in "${benches[@]}"; do
   esac
 
   fresh="$tmp/$bench.json"
-  # Baselines carry metric names + quantiles only, so export the fresh
-  # run the same way (no span dump, no bucket arrays). The Chrome trace
-  # rides along for failure triage when the keep dir is set.
+  # The gate reads metric names + quantiles only, so export the fresh
+  # run without its span dump and bucket arrays. The Chrome trace rides
+  # along for failure triage when the keep dir is set.
   # LSCATTER_OBS_REGISTRY is blanked so a BenchReport bench can't
   # self-record before this script's regress — the fresh run must never
   # feed its own median baseline.
@@ -117,18 +97,9 @@ for bench in "${benches[@]}"; do
     LSCATTER_OBS_TRACE="$tmp/$bench.trace.json" LSCATTER_OBS_REGISTRY= \
     "$build/bench/$bench" "${bench_args[@]}" > /dev/null
 
-  if [[ -f "$baseline" ]]; then
-    echo "== bench_gate: $bench vs ${baseline#"$repo"/} =="
-    if ! "$obs" diff "$baseline" "$fresh" "${gate_args[@]}"; then
-      fail=1
-    fi
-  else
-    echo "== bench_gate: $bench has no committed baseline;" \
-         "gating against the run-registry median =="
-    if ! "$obs" regress "$fresh" --registry "$registry" \
-         "${gate_args[@]}"; then
-      fail=1
-    fi
+  echo "== bench_gate: $bench vs the run-registry median =="
+  if ! "$obs" regress "$fresh" --registry "$registry" "${gate_args[@]}"; then
+    fail=1
   fi
 
   # Record after gating so this run never feeds its own median baseline.

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite —
 # first in the default configuration (plus the bench gate's schema-drift
-# smoke check, so an accidentally renamed/dropped metric fails here),
-# then rebuilt under AddressSanitizer + UndefinedBehaviorSanitizer
-# (-DLSCATTER_SANITIZE=address,undefined), and finally the span-sink and
-# sim-pool stress tests plus the lock-order canary alone under
-# ThreadSanitizer (-DLSCATTER_SANITIZE=thread; TSan and ASan cannot share
-# a build).
+# smoke check and a run-registry smoke that proves `lscatter-obs regress`
+# fails on a dropped metric), then rebuilt under AddressSanitizer +
+# UndefinedBehaviorSanitizer (-DLSCATTER_SANITIZE=address,undefined),
+# and finally the span-sink and sim-pool stress tests plus the
+# lock-order canary alone under ThreadSanitizer
+# (-DLSCATTER_SANITIZE=thread; TSan and ASan cannot share a build).
 # ctest runs with --timeout 300 (a hung pool must fail, not wedge the
 # pipeline) and writes a JUnit XML (ctest-junit.xml in the build dir)
 # that CI uploads on failure.
@@ -16,8 +16,8 @@
 # when installed, and a clang -Wthread-safety build
 # (-DLSCATTER_THREAD_SAFETY=ON) when clang++ is installed. Locally a
 # gcc-only box soft-skips the clang lanes; under CI (the CI env var) a
-# missing clang-tidy fails loudly so the lint lane can never become a
-# silent no-op.
+# missing clang-tidy or clang++ fails loudly so neither lane can become
+# a silent no-op.
 #
 # Usage: scripts/check.sh [--no-sanitize]
 # Exits non-zero on the first failure.
@@ -59,24 +59,43 @@ ctest --test-dir "$repo/build" "${ctest_args[@]}"
 echo "== tier-1: bench gate (schema-drift smoke) =="
 "$repo/scripts/bench_gate.sh" --smoke "$repo/build"
 
-echo "== tier-1: run-registry smoke (record / trend / regress) =="
+echo "== tier-1: run-registry smoke (record / regress / trend) =="
 cmake --build "$repo/build" -j "$jobs" --target lscatter-obs \
   bench_micro_dsp
 obs="$repo/build/tools/lscatter-obs"
 reg="$repo/build/registry-smoke"
 rm -rf "$reg" && mkdir -p "$reg"
+dsp_report() {  # <out.json> [extra bench flags...]
+  LSCATTER_OBS_JSON="$1" LSCATTER_OBS_SPANS=0 LSCATTER_OBS_BUCKETS=0 \
+    LSCATTER_OBS_REGISTRY= "$repo/build/bench/bench_micro_dsp" \
+    --benchmark_min_time=0.02 "${@:2}" > /dev/null
+}
 for i in 1 2 3; do
-  LSCATTER_OBS_JSON="$reg/run$i.json" LSCATTER_OBS_SPANS=0 \
-    LSCATTER_OBS_BUCKETS=0 LSCATTER_OBS_REGISTRY= \
-    "$repo/build/bench/bench_micro_dsp" --benchmark_min_time=0.02 \
-    > /dev/null
+  dsp_report "$reg/run$i.json"
+done
+# Runs no benchmark case, so it lacks the per-case histograms
+# (lte.enodeb.subframe.seconds, ...) that runs 1-3 carry.
+dsp_report "$reg/drift.json" --benchmark_filter=NONE
+for i in 1 2; do
   "$obs" record "$reg/run$i.json" --registry "$reg/registry.jsonl" \
     --time "$i"
 done
-"$obs" trend --registry "$reg/registry.jsonl" --bench bench_micro_dsp
-# Timings vary by machine, so the smoke regress gates schema only.
+# Gate run 3 against runs 1-2 before recording it, as bench_gate.sh
+# does. Timings vary by machine, so the smoke regress gates schema only.
 "$obs" regress "$reg/run3.json" --registry "$reg/registry.jsonl" \
   --schema-only
+# The one gate must fail on dropped metrics: exit 1, not 0 or 2.
+rc=0
+"$obs" regress "$reg/drift.json" --registry "$reg/registry.jsonl" \
+  --schema-only > "$reg/drift.txt" || rc=$?
+if [[ "$rc" != 1 ]]; then
+  cat "$reg/drift.txt" >&2
+  echo "check.sh: regress exited $rc on a report missing metrics" \
+       "(want 1)" >&2
+  exit 1
+fi
+"$obs" record "$reg/run3.json" --registry "$reg/registry.jsonl" --time 3
+"$obs" trend --registry "$reg/registry.jsonl" --bench bench_micro_dsp
 # The reader must skip (and count) a torn/corrupt line, never fail.
 printf 'garbage not a record\n' >> "$reg/registry.jsonl"
 "$obs" query --registry "$reg/registry.jsonl" --bench bench_micro_dsp \
@@ -108,14 +127,15 @@ fi
 # Clang thread-safety analysis lane: build-only, promotes the capability
 # annotations (core/thread_safety.hpp) to errors. Requires clang — the
 # annotations are no-ops under gcc, so there is nothing to check there.
-# CI runs this as its own job; locally it runs whenever clang is around.
+# CI installs clang in every build-test lane, so this is CI's
+# thread-safety build; locally it runs whenever clang is around.
 if command -v clang++ >/dev/null 2>&1; then
   echo "== static: clang -Wthread-safety build =="
   cmake -B "$repo/build-tsa" -S "$repo" \
     -DCMAKE_CXX_COMPILER=clang++ -DLSCATTER_THREAD_SAFETY=ON
   cmake --build "$repo/build-tsa" -j "$jobs"
-elif [[ -n "${CI:-}" && -n "${LSCATTER_REQUIRE_TSA:-}" ]]; then
-  echo "== static: thread-safety lane requires clang++ ==" >&2
+elif [[ -n "${CI:-}" ]]; then
+  echo "== static: clang++ required in CI but not installed ==" >&2
   exit 1
 else
   echo "== static: clang++ not installed; thread-safety lane skipped (CI runs it) =="

@@ -59,8 +59,7 @@ void add_finding(DiffResult& result, DiffSeverity severity,
 
 void diff_metric_names(DiffResult& result, const json::Value& base,
                        const json::Value& current,
-                       const std::string& section,
-                       const DiffOptions& options) {
+                       const std::string& section) {
   const auto base_keys = section_keys(base, section);
   const auto cur_keys = section_keys(current, section);
   for (const auto& name : base_keys) {
@@ -70,12 +69,9 @@ void diff_metric_names(DiffResult& result, const json::Value& base,
                   section + "." + name + " present in base, missing in new");
     }
   }
-  const DiffSeverity added_severity = options.ignore_added_metrics
-                                          ? DiffSeverity::kInfo
-                                          : DiffSeverity::kDrift;
   for (const auto& name : cur_keys) {
     if (!std::binary_search(base_keys.begin(), base_keys.end(), name)) {
-      add_finding(result, added_severity, "metric_added", section,
+      add_finding(result, DiffSeverity::kInfo, "metric_added", section,
                   name, 0.0, 0.0,
                   section + "." + name + " missing in base, present in new");
     }
@@ -121,10 +117,9 @@ void diff_quantiles(DiffResult& result, const json::Value& base,
       const double c = cq->as_number();
       // Below the noise floor (or empty histogram: quantile 0) a ratio
       // is meaningless; same for a non-finite base (a 1e999 literal in a
-      // hand-edited baseline parses to inf) — nothing can regress
+      // hand-edited registry line parses to inf) — nothing can regress
       // against it.
-      if (!(b > 0.0) || b < options.min_base_quantile ||
-          !std::isfinite(b)) {
+      if (!(b > 0.0) || b < kMinBaseQuantile || !std::isfinite(b)) {
         continue;
       }
       const double threshold = std::strcmp(q, "p50") == 0
@@ -235,7 +230,7 @@ DiffResult diff_reports(const json::Value& base, const json::Value& current,
   }
 
   for (const char* section : {"counters", "gauges", "histograms"}) {
-    diff_metric_names(result, base, current, section, options);
+    diff_metric_names(result, base, current, section);
   }
   diff_counters(result, base, current);
   if (options.compare_quantiles) {

@@ -1,20 +1,22 @@
 #pragma once
-// Structural diff of two `lscatter.obs/1` run reports — the read side of
-// the bench regression gate (scripts/bench_gate.sh, `lscatter-obs diff`).
+// Structural diff of two `lscatter.obs/1` run reports — the engine behind
+// `lscatter-obs regress` (and so scripts/bench_gate.sh), which diffs a
+// fresh report against the run registry's per-metric median.
 //
 // Two failure classes, deliberately separate:
-//   * drift       — the metric *set* changed (schema version mismatch, or
-//                   a counter/gauge/histogram name added or removed).
-//                   Always a failure: a renamed metric silently breaks
-//                   every downstream consumer, so the gate has no
-//                   threshold for it.
+//   * drift       — the schema version differs, or a counter/gauge/
+//                   histogram present in the base is missing from the
+//                   new report. Always a failure: a renamed or dropped
+//                   metric silently breaks every downstream consumer, so
+//                   the gate has no threshold for it.
 //   * regression  — a histogram quantile (p50/p90/p99) grew past a
 //                   relative threshold. Timing-sensitive, so it can be
 //                   disabled (`compare_quantiles = false`, the gate's
 //                   --smoke mode) and tuned (`regression_threshold`);
 //                   machines vary.
-// Everything else (counter deltas, improvements) is reported as info so
-// `lscatter-obs diff` output doubles as a run-to-run changelog.
+// Everything else (a newly added metric, counter deltas, improvements)
+// is reported as info: the base is historical, so a metric new in this
+// build cannot be in it yet, and the output doubles as a changelog.
 
 #include <string>
 #include <vector>
@@ -50,32 +52,23 @@ struct DiffOptions {
   double tail_regression_threshold = 1.5;
 
   /// Compare histogram quantiles at all. Off = schema-drift check only
-  /// (the gate's --smoke mode for committed cross-machine baselines).
+  /// (the gate's --smoke mode, for timings from another machine).
   bool compare_quantiles = true;
-
-  /// Quantiles below this (seconds for .seconds histograms) are
-  /// clock-resolution / bucket-granularity noise — a 200 ns stage p50
-  /// moves a whole 1.33x log-bucket on scheduler jitter alone. Skip the
-  /// ratio test for them rather than flake.
-  ///
-  /// Non-finite values (the parser accepts 1e999 -> inf; in-memory
-  /// reports can carry NaN): a non-finite *base* quantile is skipped —
-  /// no ratio is meaningful against it — while a non-finite *current*
-  /// quantile over a comparable base is always a regression
-  /// (quantile_non_finite); NaN must not slip through the gate by
-  /// failing every comparison. Locked by tests/test_obs_diff.cpp.
-  double min_base_quantile = 1e-6;
-
-  /// Demote metric_added from drift to info. For curated committed
-  /// baselines (default off) a new metric means the baseline needs
-  /// regenerating, so it must fail. Against a *historical* baseline —
-  /// `lscatter-obs regress` gating a fresh run on the registry median —
-  /// a freshly instrumented metric would otherwise fail every nightly
-  /// until the median catches up (majority vote), so regress turns this
-  /// on. metric_removed stays drift in both modes: a metric vanishing
-  /// breaks downstream consumers no matter which baseline it came from.
-  bool ignore_added_metrics = false;
 };
+
+/// Quantiles below this (seconds for .seconds histograms) are
+/// clock-resolution / bucket-granularity noise — a 200 ns stage p50
+/// moves a whole 1.33x log-bucket on scheduler jitter alone — so the
+/// ratio test skips them rather than flake; `trend_rows` uses the same
+/// floor.
+///
+/// Non-finite values (the parser accepts 1e999 -> inf; in-memory
+/// reports can carry NaN): a non-finite *base* quantile is skipped —
+/// no ratio is meaningful against it — while a non-finite *current*
+/// quantile over a comparable base is always a regression
+/// (quantile_non_finite); NaN must not slip through the gate by
+/// failing every comparison. Locked by tests/test_obs_diff.cpp.
+inline constexpr double kMinBaseQuantile = 1e-6;
 
 struct DiffResult {
   std::vector<DiffFinding> findings;

@@ -34,8 +34,8 @@ struct ReportOptions {
 };
 
 /// Defaults overridden by `LSCATTER_OBS_SPANS=<n>` (span-event cap) and
-/// `LSCATTER_OBS_BUCKETS=0|1` — how scripts/bench_baseline.sh shrinks the
-/// committed baselines to names + quantiles without a recompile.
+/// `LSCATTER_OBS_BUCKETS=0|1` — how scripts/bench_gate.sh shrinks its
+/// fresh reports to names + quantiles without a recompile.
 ReportOptions report_options_from_env();
 
 /// Snapshot the process-wide registry + span sink into a JSON value.

@@ -435,7 +435,7 @@ std::vector<TrendRow> trend_rows(const std::vector<RunRecord>& records,
         metric.rfind("histograms.", 0) == 0 && (is_p50 || is_tail)) {
       std::vector<double> priors(values.begin(), values.end() - 1);
       const double base = dsp::median(std::move(priors));
-      if (std::isfinite(base) && base >= options.min_base_quantile &&
+      if (std::isfinite(base) && base >= kMinBaseQuantile &&
           base > 0.0) {
         row.last_over_median = row.last / base;
         const double threshold = is_p50

@@ -15,7 +15,7 @@
 // LSCATTER_OBS_SHARDED_COUNTER_* macros in obs.hpp, which additionally
 // cache the calling thread's cell pointer in a thread_local): the name
 // appears in reports exactly like a plain counter, already merged, so
-// lscatter-obs diff/trend/registry consumers never see the sharding.
+// lscatter-obs trend/regress and registry consumers never see the sharding.
 // A name should be either sharded or plain, not both; if both exist the
 // report shows their sum.
 

@@ -19,13 +19,6 @@ using core::ContractViolation;
 using core::contracts::FailureMode;
 using core::contracts::ScopedFailureMode;
 
-TEST(Contracts, ThrowModeRaisesContractViolation) {
-  ScopedFailureMode guard(FailureMode::kThrow);
-  EXPECT_THROW(LSCATTER_EXPECT(1 == 2, "forced failure"), ContractViolation);
-  EXPECT_THROW(LSCATTER_ENSURE(false, "forced failure"), ContractViolation);
-  EXPECT_THROW(LSCATTER_ASSERT(false, "forced failure"), ContractViolation);
-}
-
 TEST(Contracts, PassingCheckIsSilent) {
   ScopedFailureMode guard(FailureMode::kThrow);
   EXPECT_NO_THROW(LSCATTER_EXPECT(2 + 2 == 4, "arithmetic works"));
@@ -38,6 +31,14 @@ TEST(Contracts, ScopedModeRestoresOnExit) {
     EXPECT_EQ(core::contracts::failure_mode(), FailureMode::kThrow);
   }
   EXPECT_EQ(core::contracts::failure_mode(), before);
+}
+
+#if LSCATTER_CHECKS_ENABLED
+TEST(Contracts, ThrowModeRaisesContractViolation) {
+  ScopedFailureMode guard(FailureMode::kThrow);
+  EXPECT_THROW(LSCATTER_EXPECT(1 == 2, "forced failure"), ContractViolation);
+  EXPECT_THROW(LSCATTER_ENSURE(false, "forced failure"), ContractViolation);
+  EXPECT_THROW(LSCATTER_ASSERT(false, "forced failure"), ContractViolation);
 }
 
 TEST(Contracts, MessageNamesKindExpressionAndLocation) {
@@ -107,5 +108,6 @@ TEST(Contracts, PacketCodecRejectsDegenerateSizes) {
   EXPECT_THROW(core::split_bits(std::vector<std::uint8_t>(8, 1), 0),
                ContractViolation);
 }
+#endif  // LSCATTER_CHECKS_ENABLED
 
 }  // namespace

@@ -91,6 +91,7 @@ TEST(SimdDispatch, AutoNeverPicksUnsupportedTier) {
   }
 }
 
+#if LSCATTER_CHECKS_ENABLED
 TEST(SimdDispatch, UnknownSpecIsAContractViolation) {
   const lscatter::core::contracts::ScopedFailureMode mode(
       lscatter::core::contracts::FailureMode::kThrow);
@@ -99,6 +100,7 @@ TEST(SimdDispatch, UnknownSpecIsAContractViolation) {
         << spec;
   }
 }
+#endif
 
 TEST(SimdDispatch, TablesReportTheirOwnTier) {
   for (const SimdTier t : supported_tiers()) {

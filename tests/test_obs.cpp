@@ -277,7 +277,7 @@ TEST(ObsReport, ReportOptionsFromEnvShrinkBaselines) {
   EXPECT_EQ(options.max_span_events, obs::ReportOptions{}.max_span_events);
   EXPECT_TRUE(options.include_buckets);
 
-  // The bench_baseline.sh configuration: no spans, no buckets.
+  // The bench_gate.sh configuration: no spans, no buckets.
   ASSERT_EQ(setenv("LSCATTER_OBS_SPANS", "0", 1), 0);
   ASSERT_EQ(setenv("LSCATTER_OBS_BUCKETS", "0", 1), 0);
   options = obs::report_options_from_env();

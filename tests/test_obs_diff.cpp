@@ -1,7 +1,7 @@
-// Report diffing (obs/diff.hpp): the three verdict classes the bench
-// gate relies on — clean, metric-name drift, and quantile regression —
-// plus the noise floor, threshold tuning, smoke mode, and the
-// machine-readable verdict JSON.
+// Report diffing (obs/diff.hpp): the three verdict classes the
+// registry-median gate (`lscatter-obs regress`) relies on — clean,
+// metric-name drift, and quantile regression — plus the noise floor,
+// threshold tuning, smoke mode, and the machine-readable verdict JSON.
 
 #include <gtest/gtest.h>
 
@@ -57,10 +57,12 @@ TEST(ObsDiff, RenamedMetricIsDrift) {
   for (const auto& f : d.findings) {
     if (f.kind == "metric_removed" &&
         f.name == "test.diff.demod.seconds") {
+      EXPECT_EQ(f.severity, obs::DiffSeverity::kDrift);
       removed = true;
     }
     if (f.kind == "metric_added" &&
         f.name == "test.diff.demodulate.seconds") {
+      EXPECT_EQ(f.severity, obs::DiffSeverity::kInfo);
       added = true;
     }
   }
@@ -276,8 +278,8 @@ TEST(ObsDiff, InfSurvivesJsonParseAsOverflow) {
 
 TEST(ObsDiff, LiveReportDiffsCleanAgainstItself) {
   // End-to-end against the real exporter: a build_report snapshot diffed
-  // against a re-parse of its own serialization is clean (this is the
-  // `lscatter-obs diff baseline fresh` happy path on an unmodified tree).
+  // against a re-parse of its own serialization is clean (the
+  // `lscatter-obs regress` happy path on an unmodified tree).
   obs::Registry& reg = obs::Registry::instance();
   reg.counter("test.diff.live.packets").add(3);
   reg.histogram("test.diff.live.stage.seconds").record(2e-3);

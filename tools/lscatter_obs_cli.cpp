@@ -6,16 +6,6 @@
 //       Text table of counters, gauges, and histogram quantiles —
 //       format_text_report, but for a file instead of the live registry.
 //
-//   lscatter-obs diff <base.json> <new.json> [--threshold PCT]
-//                     [--tail-threshold PCT] [--schema-only] [--json]
-//       Structural diff (obs/diff.hpp). Exit 0 = clean, 1 = metric-name
-//       drift or quantile regression, 2 = usage/input error. --threshold
-//       is the allowed relative p50 growth in percent (default 25);
-//       --tail-threshold bounds p90/p99 (default 150 — tails of short
-//       runs are log-bucket-quantized and noisy); --schema-only skips
-//       quantile comparison entirely (the bench gate's smoke mode);
-//       --json prints the machine-readable verdict.
-//
 //   lscatter-obs trace <report.json> -o <out.json>
 //       Convert the report's span events to Chrome trace-event JSON for
 //       ui.perfetto.dev / chrome://tracing (obs/trace_export.hpp).
@@ -40,30 +30,30 @@
 //                      [--tail-threshold PCT] [--json]
 //       Per-metric first/last/p50/p90/p99 across the matching records,
 //       with histogram-quantile metrics flagged REGRESSED when the
-//       newest value grew past the obs::diff thresholds relative to the
+//       newest value grew past the regress thresholds relative to the
 //       median of the prior records.
 //
 //   lscatter-obs regress <fresh.json> [--registry PATH] [--bench NAME]
 //                        [--last K] [--min-records N] [--threshold PCT]
 //                        [--tail-threshold PCT] [--schema-only] [--json]
-//       Gate a fresh report against the registry: synthesize the
-//       per-metric median baseline (obs::median_report) from the
-//       matching records and diff the fresh report against it. Exit 0 =
-//       clean (including "fewer than --min-records [default 2] prior
-//       runs" — a young registry must not block the gate; the fresh
-//       report is still schema-validated), 1 = drift or regression,
-//       2 = usage/input error.
-//
-//   lscatter-obs stamp <report.json> [--sha SHA] [--dirty 0|1]
-//                      [--compiler ID] [--time SECONDS]
-//       Rewrite the report in place with a `provenance` object, so
-//       committed baselines (scripts/bench_baseline.sh) carry the
-//       commit/compiler that produced them. obs::diff ignores the key.
+//       The one perf gate (scripts/bench_gate.sh runs it for every
+//       micro-bench): synthesize the per-metric median baseline
+//       (obs::median_report) from the matching records and diff the
+//       fresh report against it (obs/diff.hpp). A metric missing from
+//       the fresh report is drift; a new one is info. --threshold is the
+//       allowed relative p50 growth in percent (default 25);
+//       --tail-threshold bounds p90/p99 (default 150 — tails of short
+//       runs are log-bucket-quantized and noisy); --schema-only skips
+//       quantile comparison entirely (the bench gate's smoke mode);
+//       --json prints the machine-readable verdict. Exit 0 = clean
+//       (including "fewer than --min-records [default 2] prior runs" —
+//       a young registry must not block the gate; the fresh report is
+//       still schema-validated), 1 = drift or regression, 2 =
+//       usage/input error.
 //
 // Works identically on reports from -DLSCATTER_OBS=OFF builds — those
 // just have empty metric sections.
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -88,8 +78,6 @@ int usage() {
       stderr,
       "usage: lscatter-obs <command> ...\n"
       "  summarize <report.json>\n"
-      "  diff <base.json> <new.json> [--threshold PCT]"
-      " [--tail-threshold PCT] [--schema-only] [--json]\n"
       "  trace <report.json> -o <out.json>\n"
       "  record <report.json> [--registry PATH] [--bench NAME]"
       " [--sha SHA] [--dirty 0|1] [--threads N] [--simd TIER]"
@@ -103,9 +91,7 @@ int usage() {
       "  regress <fresh.json> [--registry PATH] [--bench NAME]"
       " [--simd TIER|any (default: current tier)] [--threads N]"
       " [--last K] [--min-records N] [--threshold PCT]"
-      " [--tail-threshold PCT] [--schema-only] [--json]\n"
-      "  stamp <report.json> [--sha SHA] [--dirty 0|1] [--compiler ID]"
-      " [--time S]\n");
+      " [--tail-threshold PCT] [--schema-only] [--json]\n");
   return 2;
 }
 
@@ -158,7 +144,6 @@ struct RegistryArgs {
   std::string metric;
   std::size_t last = 0;
   std::size_t min_records = 2;
-  std::string compiler;
   obs::DiffOptions diff;
   bool as_json = false;
   std::vector<const char*> positional;
@@ -215,9 +200,6 @@ bool parse_registry_args(int argc, char** argv, RegistryArgs& out) {
     } else if (std::strcmp(a, "--min-records") == 0) {
       if ((v = value(i)) == nullptr) return false;
       out.min_records = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(a, "--compiler") == 0) {
-      if ((v = value(i)) == nullptr) return false;
-      out.compiler = v;
     } else if (std::strcmp(a, "--threshold") == 0) {
       if (!parse_pct(i, out.diff.regression_threshold)) return false;
     } else if (std::strcmp(a, "--tail-threshold") == 0) {
@@ -320,25 +302,6 @@ int cmd_summarize(int argc, char** argv) {
                     : std::size_t{0});
   }
   return 0;
-}
-
-int cmd_diff(int argc, char** argv) {
-  RegistryArgs args;
-  if (!parse_registry_args(argc, argv, args)) return 2;
-  if (args.positional.size() != 2) return usage();
-
-  const auto base = load_report(args.positional[0]);
-  const auto current = load_report(args.positional[1]);
-  if (!base || !current) return 2;
-
-  const obs::DiffResult result =
-      obs::diff_reports(*base, *current, args.diff);
-  if (args.as_json) {
-    std::printf("%s\n", result.to_json().dump(2).c_str());
-  } else {
-    std::printf("%s", result.format_text().c_str());
-  }
-  return result.ok() ? 0 : 1;
 }
 
 int cmd_trace(int argc, char** argv) {
@@ -568,13 +531,8 @@ int cmd_regress(int argc, char** argv) {
     return 0;
   }
 
-  // The median baseline is historical, not curated: metrics added by a
-  // newer build would fail as drift until the registry majority catches
-  // up, so regress reports them as info only. Removals still gate.
-  obs::DiffOptions diff = args.diff;
-  diff.ignore_added_metrics = true;
   const obs::json::Value base = obs::median_report(records);
-  const obs::DiffResult result = obs::diff_reports(base, *fresh, diff);
+  const obs::DiffResult result = obs::diff_reports(base, *fresh, args.diff);
   if (args.as_json) {
     std::printf("%s\n", result.to_json().dump(2).c_str());
   } else {
@@ -585,38 +543,6 @@ int cmd_regress(int argc, char** argv) {
   return result.ok() ? 0 : 1;
 }
 
-int cmd_stamp(int argc, char** argv) {
-  RegistryArgs args;
-  if (!parse_registry_args(argc, argv, args)) return 2;
-  if (args.positional.size() != 1) return usage();
-  const char* path = args.positional[0];
-
-  auto report = load_report(path);
-  if (!report) return 2;
-  if (!is_obs_report(*report)) {
-    std::fprintf(stderr, "lscatter-obs: %s is not an lscatter.obs/1 report\n",
-                 path);
-    return 2;
-  }
-
-  obs::json::Value prov;
-  prov["git_sha"] = obs::json::Value(args.sha);
-  prov["dirty"] = obs::json::Value(args.dirty);
-  prov["compiler"] = obs::json::Value(args.compiler);
-  prov["hostname"] = obs::json::Value(obs::local_hostname());
-  prov["unix_time_s"] = obs::json::Value(stamp_time(args));
-  (*report)["provenance"] = std::move(prov);
-
-  if (!obs::write_json_file(*report, path)) {
-    std::fprintf(stderr, "lscatter-obs: cannot rewrite %s\n", path);
-    return 2;
-  }
-  std::printf("stamped %s (sha %s%s)\n", path,
-              args.sha.empty() ? "<none>" : args.sha.c_str(),
-              args.dirty ? ", dirty" : "");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -625,7 +551,6 @@ int main(int argc, char** argv) {
   if (std::strcmp(cmd, "summarize") == 0) {
     return cmd_summarize(argc - 2, argv + 2);
   }
-  if (std::strcmp(cmd, "diff") == 0) return cmd_diff(argc - 2, argv + 2);
   if (std::strcmp(cmd, "trace") == 0) return cmd_trace(argc - 2, argv + 2);
   if (std::strcmp(cmd, "record") == 0) {
     return cmd_record(argc - 2, argv + 2);
@@ -635,6 +560,5 @@ int main(int argc, char** argv) {
   if (std::strcmp(cmd, "regress") == 0) {
     return cmd_regress(argc - 2, argv + 2);
   }
-  if (std::strcmp(cmd, "stamp") == 0) return cmd_stamp(argc - 2, argv + 2);
   return usage();
 }
