@@ -44,6 +44,7 @@ obs::Histogram& stream_stage_cell(const char* stage) {
 StreamingReceiver::StreamingReceiver(const Config& config)
     : config_(config),
       demodulator_(config.cell, config.schedule, config.search),
+      search_at_(config.cell.samples_per_frame() + config.cell.fft_size()),
       samples_per_packet_(config.schedule.packet_subframes *
                           config.cell.samples_per_subframe()),
       next_subframe_(config.first_subframe_index) {
@@ -63,9 +64,7 @@ bool StreamingReceiver::try_acquire() {
   obs::ScopedTimer stage_timer(acquire_latency);
 #endif
   const std::size_t frame_len = config_.cell.samples_per_frame();
-  if (buffered_samples() < frame_len + config_.cell.fft_size()) {
-    return false;
-  }
+  if (buffered_samples() < search_at_) return false;
 
   const std::span<const dsp::cf32> window(rx_buffer_.data() + consumed_,
                                           buffered_samples());
@@ -81,11 +80,12 @@ bool StreamingReceiver::try_acquire() {
   }
 
   // No PSS in this window. Keep only the most recent frame so the buffer
-  // stays bounded while we wait for a stronger signal.
+  // stays bounded while we wait for a stronger signal, and search again
+  // once it holds one more PSS period: a new PSS can only arrive every
+  // half frame.
   LSCATTER_OBS_COUNTER_INC("core.stream.acquire_failed");
-  if (buffered_samples() > frame_len) {
-    consumed_ += buffered_samples() - frame_len;
-  }
+  consumed_ += buffered_samples() - frame_len;
+  search_at_ = frame_len + frame_len / 2;
   return false;
 }
 
@@ -107,6 +107,7 @@ void StreamingReceiver::notify_gap(std::uint64_t gap_samples) {
     // reacquisition from the post-gap stream.
     aligned_ = false;
     skip_ = 0;
+    search_at_ = config_.cell.samples_per_frame() + config_.cell.fft_size();
     return;
   }
 

@@ -47,14 +47,18 @@ class StreamingReceiver {
 
     /// When true, the receiver does NOT assume the stream is
     /// subframe-aligned: it buffers samples and runs the PSS/SSS cell
-    /// search (FFT-based correlation, see lte::CellSearcher) until a
-    /// frame boundary is found, drops everything before that boundary,
+    /// search (narrow-band PSS correlation, see lte::CellSearcher) until
+    /// a frame boundary is found, drops everything before that boundary,
     /// and only then starts carving packets. The first carved subframe
     /// is subframe 0 of the acquired frame. A search runs once one frame
-    /// plus one FFT size is buffered.
+    /// plus one FFT size is buffered; after a failed one the receiver
+    /// keeps the latest frame and searches again once half a frame (one
+    /// PSS period) of new samples has arrived.
     bool acquire_alignment = false;
 
-    /// Minimum normalized PSS metric to accept alignment.
+    /// Minimum normalized PSS metric to accept alignment (the search's
+    /// 1.92 MS/s narrow-band metric, ~0.8-1.0 without noise at every
+    /// bandwidth).
     float acquire_min_metric = 0.5f;
   };
 
@@ -116,6 +120,8 @@ class StreamingReceiver {
   Config config_;
   LscatterDemodulator demodulator_;
   std::optional<lte::CellSearcher> searcher_;
+  /// Buffered samples at which try_acquire() next searches.
+  std::size_t search_at_;
   bool aligned_ = true;
   std::size_t samples_per_packet_;
   std::size_t next_subframe_;

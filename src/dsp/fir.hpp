@@ -1,6 +1,7 @@
 #pragma once
 // FIR filter design (windowed sinc) and application. Used for the tag's
-// band-limited envelope (matching-network model) and for spectrum surveys.
+// band-limited envelope (matching-network model), for spectrum surveys and
+// for the cell search's narrow-band channelizer (lte/ue_sync.cpp).
 
 #include <cstddef>
 

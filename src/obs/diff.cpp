@@ -86,8 +86,10 @@ void diff_counters(DiffResult& result, const json::Value& base,
     const double b = number_at(base, "counters", name);
     const double c = number_at(current, "counters", name);
     if (b == c) continue;
+    // %.15g keeps integer counts exact and still shows the .5 of a median
+    // over an even number of records.
     char line[256];
-    std::snprintf(line, sizeof(line), "counter %s: %.0f -> %.0f (%+.0f)",
+    std::snprintf(line, sizeof(line), "counter %s: %.15g -> %.15g (%+.15g)",
                   name.c_str(), b, c, c - b);
     add_finding(result, DiffSeverity::kInfo, "counter_delta", "counters",
                 name, b, c, line);

@@ -5,6 +5,8 @@
 
 #include "core/streaming_receiver.hpp"
 #include "lte/enodeb.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "tag/modulator.hpp"
 #include "tag/tag_controller.hpp"
 
@@ -162,20 +164,24 @@ TEST(StreamingReceiver, HonorsNonZeroStartingSubframe) {
   }
 }
 
-TEST(StreamingReceiver, AcquiresAlignmentFromUnalignedStream) {
+class StreamingAcquire : public ::testing::TestWithParam<lte::Bandwidth> {};
+
+TEST_P(StreamingAcquire, AcquiresAlignmentFromUnalignedStream) {
   // The stream joins mid-subframe (a receiver with no prior LTE sync).
-  // With acquire_alignment set, the receiver runs the FFT-based PSS/SSS
-  // cell search on its buffer, drops everything before the found frame
-  // boundary, and then recovers exactly the packets of the following
-  // frames.
+  // With acquire_alignment set, the receiver runs the PSS/SSS cell
+  // search on its buffer with the default acquire_min_metric, drops
+  // everything before the found frame boundary, and then recovers
+  // exactly the packets of the following frames. The geometry is the
+  // same at every bandwidth in units of D = K/128 cell samples.
   lte::CellConfig cell;
-  cell.bandwidth = lte::Bandwidth::kMHz1_4;
+  cell.bandwidth = GetParam();
+  const std::size_t d = cell.fft_size() / 128;
   tag::TagScheduleConfig sched;
   const Stream s = make_stream(cell, sched, 25, 123);
 
-  // Cut 4321 samples into subframe 0: the first complete frame in what
-  // the receiver sees starts at original subframe 10.
-  const std::size_t cut = 4321;
+  // Cut 4321·D samples in (inside subframe 2): the first complete frame
+  // in what the receiver sees starts at original subframe 10.
+  const std::size_t cut = 4321 * d;
   const std::span<const cf32> rx =
       std::span<const cf32>(s.rx).subspan(cut);
   const std::span<const cf32> ambient =
@@ -193,12 +199,12 @@ TEST(StreamingReceiver, AcquiresAlignmentFromUnalignedStream) {
   std::vector<core::StreamingReceiver::PacketEvent> events;
   std::size_t pos = 0;
   while (pos < rx.size()) {
-    const std::size_t n = std::min<std::size_t>(30000, rx.size() - pos);
+    const std::size_t n = std::min<std::size_t>(30000 * d, rx.size() - pos);
     auto out = ue.feed(rx.subspan(pos, n), ambient.subspan(pos, n));
     for (auto& e : out) events.push_back(std::move(e));
     pos += n;
   }
-  EXPECT_TRUE(ue.aligned());
+  ASSERT_TRUE(ue.aligned());
 
   // Subframes 10..24 remain after acquisition; 19 is a listening slot,
   // so 14 packets, which line up with payloads[9..22] (payload 9 is the
@@ -210,6 +216,39 @@ TEST(StreamingReceiver, AcquiresAlignmentFromUnalignedStream) {
     EXPECT_EQ(*events[i].result.payload, s.payloads[9 + i]) << i;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Bandwidths, StreamingAcquire,
+                         ::testing::ValuesIn(lte::kAllBandwidths));
+
+#if LSCATTER_OBS_ENABLED
+TEST(StreamingReceiver, AcquisitionSearchesOncePerHalfFrame) {
+  // Noise only, fed one 20 MHz subframe at a time: the first search runs
+  // once a frame plus one FFT size is buffered (feed 11), and each failed
+  // search waits for half a frame of new samples — one PSS period —
+  // before the next (feeds 16, 21, 26), not one search per feed.
+  lte::CellConfig cell;
+  cell.bandwidth = lte::Bandwidth::kMHz20;
+  core::StreamingReceiver::Config cfg;
+  cfg.cell = cell;
+  cfg.acquire_alignment = true;
+  core::StreamingReceiver ue(cfg);
+
+  const std::size_t sps = cell.samples_per_subframe();
+  dsp::Rng rng(11);
+  cvec noise(3 * cell.samples_per_frame());
+  for (auto& v : noise) v = rng.complex_normal(0.01);
+  auto& registry = obs::Registry::instance();
+  const std::uint64_t before = registry.counter_value("lte.cellsearch.searches");
+  for (std::size_t sf = 0; sf < 30; ++sf) {
+    const auto chunk = std::span<const cf32>(noise).subspan(sf * sps, sps);
+    EXPECT_TRUE(ue.feed(chunk, chunk).empty());
+    EXPECT_LE(ue.buffered_samples(),
+              cell.samples_per_frame() + cell.samples_per_frame() / 2);
+  }
+  EXPECT_FALSE(ue.aligned());
+  EXPECT_EQ(registry.counter_value("lte.cellsearch.searches") - before, 4u);
+}
+#endif
 
 TEST(StreamingReceiver, AcquisitionKeepsBufferBoundedWithoutPss) {
   // Noise only: acquisition never succeeds, and the buffer must stay
@@ -401,12 +440,14 @@ TEST(StreamingReceiver, NotifyGapMidSubframeSkipsToNextBoundary) {
   }
 }
 
-TEST(StreamingReceiver, NotifyGapInAcquireModeForcesColdReacquisition) {
+TEST_P(StreamingAcquire, NotifyGapInAcquireModeForcesColdReacquisition) {
   // In acquisition mode a gap invalidates the frame alignment: the
   // receiver must drop to unaligned, re-run the PSS/SSS search on
-  // post-gap samples, and come back decoding.
+  // post-gap samples, and come back decoding, at every bandwidth
+  // (instantiated with AcquiresAlignmentFromUnalignedStream above).
   lte::CellConfig cell;
-  cell.bandwidth = lte::Bandwidth::kMHz1_4;
+  cell.bandwidth = GetParam();
+  const std::size_t d = cell.fft_size() / 128;
   tag::TagScheduleConfig sched;
   const Stream s = make_stream(cell, sched, 45, 57);
   const std::size_t spsf = cell.samples_per_subframe();
@@ -426,7 +467,8 @@ TEST(StreamingReceiver, NotifyGapInAcquireModeForcesColdReacquisition) {
             .size();
   }
   EXPECT_TRUE(ue.aligned());
-  EXPECT_GT(events_before_gap, 0u);
+  // Subframes 0..19 minus listening slots 9 and 19.
+  EXPECT_EQ(events_before_gap, 18u);
 
   // Drop 7.3 subframes of stream (not an integer number of subframes —
   // alignment is genuinely lost).
@@ -440,7 +482,7 @@ TEST(StreamingReceiver, NotifyGapInAcquireModeForcesColdReacquisition) {
   std::size_t events_after_gap = 0;
   std::size_t pos = 20 * spsf + gap;
   while (pos < s.rx.size()) {
-    const std::size_t n = std::min<std::size_t>(30000, s.rx.size() - pos);
+    const std::size_t n = std::min<std::size_t>(30000 * d, s.rx.size() - pos);
     events_after_gap +=
         ue.feed(std::span<const cf32>(s.rx).subspan(pos, n),
                 std::span<const cf32>(s.ambient).subspan(pos, n))
@@ -448,7 +490,9 @@ TEST(StreamingReceiver, NotifyGapInAcquireModeForcesColdReacquisition) {
     pos += n;
   }
   EXPECT_TRUE(ue.aligned());
-  EXPECT_GT(events_after_gap, 0u);
+  // The stream resumes inside subframe 27; the first frame boundary after
+  // it is subframe 30, so 30..44 minus listening slot 39 remain.
+  EXPECT_EQ(events_after_gap, 14u);
 }
 
 TEST(StreamingReceiver, FeedSpanStaysValidUntilNextFeed) {

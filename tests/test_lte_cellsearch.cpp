@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "channel/awgn.hpp"
+#include "core/scenario.hpp"
 #include "dsp/rng.hpp"
 #include "lte/enodeb.hpp"
 #include "lte/ofdm.hpp"
@@ -82,9 +83,11 @@ TEST(CellSearch, DetectsSubframe5Pss) {
   EXPECT_EQ(result->n_id_1, 7);
 }
 
-TEST(CellSearch, SurvivesNoiseAndRotation) {
+class CellSearchNoise : public ::testing::TestWithParam<lte::Bandwidth> {};
+
+TEST_P(CellSearchNoise, SurvivesNoiseAndRotation) {
   lte::Enodeb::Config cfg;
-  cfg.cell.bandwidth = lte::Bandwidth::kMHz5;
+  cfg.cell.bandwidth = GetParam();
   cfg.cell.n_id_1 = 99;
   cfg.cell.n_id_2 = 1;
   cfg.seed = 5;
@@ -100,6 +103,10 @@ TEST(CellSearch, SurvivesNoiseAndRotation) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->cell_id, cfg.cell.cell_id());
 }
+
+INSTANTIATE_TEST_SUITE_P(Bandwidths, CellSearchNoise,
+                         ::testing::Values(lte::Bandwidth::kMHz5,
+                                           lte::Bandwidth::kMHz20));
 
 TEST(CellSearch, ReturnsNulloptOnPureNoise) {
   lte::CellConfig cell;
@@ -170,25 +177,77 @@ TEST_P(CellSearchCuts, EveryCutFindsCellAndFrameStart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Bandwidths, CellSearchCuts,
-                         ::testing::Values(lte::Bandwidth::kMHz1_4,
-                                           lte::Bandwidth::kMHz20));
+                         ::testing::ValuesIn(lte::kAllBandwidths));
 
-TEST(CellSearch, PssWithoutItsSssIsNoResult) {
+// The smart-home 20 MHz scene's noiseless eNodeB stream, searched over
+// one frame plus one symbol at random cuts: on these seeds a full-rate
+// correlation peak names subframe 0's PSS one sample late (the PBCH in
+// the next symbol shares its subcarriers), so the frame start must come
+// from the narrow-band search's phase-slope refinement.
+class CellSearchSmartHome20 : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(CellSearchSmartHome20, FrameStartIsExact) {
+  core::ScenarioOptions options;
+  options.bandwidth = lte::Bandwidth::kMHz20;
+  options.seed = GetParam();
+  const auto link = core::make_scenario(core::Scene::kSmartHome, options);
+  lte::Enodeb enb(link.enodeb);
+  // Subframes 10230-10269: four frames, the first starting at sample 0.
+  cvec s;
+  for (std::size_t sf = 10230; sf < 10270; ++sf) {
+    const auto tx = enb.make_subframe(sf);
+    s.insert(s.end(), tx.samples.begin(), tx.samples.end());
+  }
+  const lte::CellConfig& truth = link.enodeb.cell;
+  lte::CellConfig blind;
+  blind.bandwidth = truth.bandwidth;
+  const lte::CellSearcher searcher(blind);
+  const std::size_t frame = truth.samples_per_frame();
+  const std::size_t length = frame + truth.fft_size();
+  dsp::Rng rng(GetParam());
+  for (int i = 0; i < 20; ++i) {
+    const std::size_t cut =
+        rng.uniform_int(static_cast<std::uint32_t>(s.size() - length));
+    const auto result =
+        searcher.search(std::span<const cf32>(s).subspan(cut, length));
+    ASSERT_TRUE(result.has_value()) << "cut " << cut;
+    EXPECT_EQ(result->cell_id, truth.cell_id()) << "cut " << cut;
+    EXPECT_EQ(result->frame_start, (frame - cut % frame) % frame)
+        << "cut " << cut;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CellSearchSmartHome20,
+                         ::testing::Values(92u, 123u, 221u));
+
+// The buffer holds subframe 0's whole PSS but starts one sample after
+// its SSS: no lag can name the cell or the frame, whether the buffer ends
+// with the PSS or runs two symbols past it. At 20 MHz the narrow-band
+// peak is only known to ±D cell samples and can pass the narrow band's
+// SSS rule, so the refined lag must obey the same rule.
+class CellSearchEdge : public ::testing::TestWithParam<lte::Bandwidth> {};
+
+TEST_P(CellSearchEdge, PssWithoutItsSssIsNoResult) {
   lte::Enodeb::Config cfg;
-  cfg.cell.bandwidth = lte::Bandwidth::kMHz1_4;
+  cfg.cell.bandwidth = GetParam();
   lte::Enodeb enb(cfg);
   const cvec s = ten_subframes(enb);
-  // The buffer holds subframe 0's whole PSS but starts one sample after
-  // its SSS: no lag can name the cell or the frame.
   const std::size_t k = cfg.cell.fft_size();
   const std::size_t symbol = k + cfg.cell.cp_samples();
   const std::size_t pss =
       lte::symbol_offset_in_subframe(cfg.cell, lte::kPssSymbolIndex) +
       cfg.cell.cp_samples();
-  const auto buffer =
-      std::span<const cf32>(s).subspan(pss - symbol + 1, symbol + k);
   lte::CellSearcher searcher(cfg.cell);
-  EXPECT_FALSE(searcher.search(buffer).has_value());
+  for (const std::size_t tail : {std::size_t{0}, 2 * symbol}) {
+    const auto buffer = std::span<const cf32>(s).subspan(pss - symbol + 1,
+                                                         symbol + k + tail);
+    EXPECT_FALSE(searcher.search(buffer).has_value()) << "tail " << tail;
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Bandwidths, CellSearchEdge,
+                         ::testing::Values(lte::Bandwidth::kMHz1_4,
+                                           lte::Bandwidth::kMHz20));
 
 }  // namespace

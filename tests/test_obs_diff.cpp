@@ -140,14 +140,26 @@ TEST(ObsDiff, NoiseFloorSkipsTinyQuantiles) {
 }
 
 TEST(ObsDiff, CounterDeltaIsInfo) {
-  const auto base = make_report("test.diff.h.seconds", 1e-4, 100.0);
-  const auto cur = make_report("test.diff.h.seconds", 1e-4, 150.0);
-  const obs::DiffResult d = obs::diff_reports(base, cur);
-  EXPECT_TRUE(d.ok());
-  ASSERT_EQ(d.findings.size(), 1u);
-  EXPECT_EQ(d.findings[0].kind, "counter_delta");
-  EXPECT_DOUBLE_EQ(d.findings[0].base, 100.0);
-  EXPECT_DOUBLE_EQ(d.findings[0].current, 150.0);
+  // The second base is what regress's median of an even number of
+  // records gives: its .5 must show, not round to "150 -> 150 (-0)".
+  struct Case {
+    double base;
+    double current;
+    const char* detail;
+  };
+  for (const Case& c : {Case{100.0, 150.0, "100 -> 150 (+50)"},
+                        Case{150.5, 150.0, "150.5 -> 150 (-0.5)"}}) {
+    const auto base = make_report("test.diff.h.seconds", 1e-4, c.base);
+    const auto cur = make_report("test.diff.h.seconds", 1e-4, c.current);
+    const obs::DiffResult d = obs::diff_reports(base, cur);
+    EXPECT_TRUE(d.ok());
+    ASSERT_EQ(d.findings.size(), 1u);
+    EXPECT_EQ(d.findings[0].kind, "counter_delta");
+    EXPECT_DOUBLE_EQ(d.findings[0].base, c.base);
+    EXPECT_DOUBLE_EQ(d.findings[0].current, c.current);
+    EXPECT_NE(d.findings[0].detail.find(c.detail), std::string::npos)
+        << d.findings[0].detail;
+  }
 }
 
 TEST(ObsDiff, ForeignSchemaIsDrift) {
